@@ -1,8 +1,9 @@
 (** The [psc serve] JSON-lines front end.
 
     One request object per input line, one response object per output
-    line.  Ops: [betti], [connectivity], [psph], [model-complex], [batch]
-    (members evaluated in parallel), [models], [stats], [metrics]
+    line.  Ops: the hot queries [betti], [connectivity], [psph] and
+    [model-complex] (parsed and answered by {!Query}), [batch] (members
+    evaluated in parallel), [models], [stats], [metrics]
     (the full {!Psph_obs.Obs.snapshot_json} of counters, gauges,
     histograms and span totals; [stats] carries the same snapshot in a
     "metrics" field), and the replication pair [snapshot] (page the memo
@@ -12,8 +13,10 @@
     is specified in docs/ENGINE.md and docs/OBSERVABILITY.md.
 
     Every request runs in a [serve.request] span (attrs: a process-wide
-    request counter and the op name) and is timed into a per-op
-    [serve.op.<op>] histogram.
+    request counter and the op label) and is timed into a per-op
+    [serve.op.<label>] histogram.  Labels are bounded: the ops above,
+    ["other"] for any other op string and ["invalid"] when no op was
+    parsed.
 
     Malformed requests — and any unexpected exception a handler raises —
     produce [{"ok":false,"error":...}] responses, echoing the request's

@@ -11,7 +11,7 @@
 
    Each of [conns] worker threads owns one pipelined client.  The worker
    loop accumulates arrivals that have come due, fires them as one
-   eval_many batch (bounded, so a backlog after a stall drains in
+   query_many batch (bounded, so a backlog after a stall drains in
    chunks), and sleeps until the next intended arrival when nothing is
    due.  The key space is drawn from the model registry's spec space:
    psph shapes, every registered model at its default spec, and salted
@@ -26,6 +26,7 @@
 
 open Psph_obs
 open Psph_net
+module Query = Psph_engine.Query
 
 type config = {
   rate : float;
@@ -81,12 +82,12 @@ let queries ~keyspace =
     List.concat_map
       (fun n ->
         List.map
-          (fun values -> Codec.Psph { n; values })
+          (fun values -> Query.Psph { n; values })
           [ 2; 3; 4 ])
       [ 1; 2; 3 ]
     @ List.map
         (fun m ->
-          Codec.Model
+          Query.Model
             {
               model = Pseudosphere.Model_complex.name_of m;
               spec =
@@ -101,7 +102,7 @@ let queries ~keyspace =
   let facet i =
     (* salted so the load keys never collide with other traffic *)
     let s = 9000 + i in
-    Codec.Facets
+    Query.Facets
       [
         Printf.sprintf "0:i%d ; 1:i%d" s (s + 1);
         Printf.sprintf "1:i%d ; 2:i%d" (s + 1) (s + 2);
@@ -200,18 +201,18 @@ let worker cfg m addr qtab cdf wi acc =
   let deadline = t0 +. cfg.duration_s in
   let next_arrival = ref (t0 +. draw_gap ()) in
   let batch_cap = max (4 * cfg.pipeline_depth) 64 in
-  (* due arrivals, newest first: (intended_time, want, query) *)
+  (* due arrivals, newest first: (intended_time, query) *)
   let due = ref [] in
   let ndue = ref 0 in
   let fire () =
     let items = List.rev !due in
     due := [];
     ndue := 0;
-    let intended = Array.of_list (List.map (fun (t, _, _) -> t) items) in
-    let reqs = List.map (fun (_, w, q) -> (w, q)) items in
+    let intended = Array.of_list (List.map fst items) in
+    let reqs = List.map snd items in
     let lat = Array.make (Array.length intended) nan in
     let results =
-      Client.eval_many
+      Client.query_many
         ~on_latency:(fun i _service_s ->
           (* corrected latency: intended arrival -> response, so queueing
              behind a stalled server is charged to the server *)
@@ -223,7 +224,7 @@ let worker cfg m addr qtab cdf wi acc =
         acc.a_sent <- acc.a_sent + 1;
         Obs.incr m.m_sent;
         match r with
-        | Ok (Codec.Result { cached; _ }) ->
+        | Ok (Query.Result { cached; _ }) ->
             acc.a_ok <- acc.a_ok + 1;
             Obs.incr m.m_ok;
             if cached then begin
@@ -236,7 +237,7 @@ let worker cfg m addr qtab cdf wi acc =
             in
             acc.a_lat <- l :: acc.a_lat;
             Obs.observe m.m_latency l
-        | Ok (Codec.Failed { message; _ }) ->
+        | Ok (Query.Failed { message; _ }) ->
             Obs.incr m.m_server_err;
             bucket_server acc message
         | Error Client.Timeout ->
@@ -259,8 +260,10 @@ let worker cfg m addr qtab cdf wi acc =
     (* pull every arrival that has come due, up to the batch cap *)
     while !next_arrival <= now && !next_arrival < deadline && !ndue < batch_cap
     do
-      let q = qtab.(sample_rank cdf rng) in
-      due := (!next_arrival, Codec.Both, q) :: !due;
+      let target = qtab.(sample_rank cdf rng) in
+      due :=
+        (!next_arrival, { Query.want = Both; target; mode = Psph_engine.Engine.Auto })
+        :: !due;
       incr ndue;
       next_arrival := !next_arrival +. draw_gap ()
     done;

@@ -63,7 +63,7 @@ val completed : stats -> int
     requests that ended in a taxonomy bucket.  No silent loss iff this
     equals [sent]. *)
 
-val queries : keyspace:int -> (Codec.query) array
+val queries : keyspace:int -> Psph_engine.Query.target array
 (** The registry-derived key table, deterministic for a given
     [keyspace] — exposed for tests. *)
 

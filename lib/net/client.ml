@@ -25,14 +25,17 @@
 
    The driver below runs every request through one state machine with
    three per-connection modes, negotiated by a hello frame on fresh
-   connections: V2 binary (hot ops as {!Codec} bytes, everything else
-   escape-tagged JSON), V2 json (hot ops with injected ids), and V1
+   connections: V2 binary (hot queries as {!Codec} bytes — or as
+   escape-tagged JSON with an injected id when the layout cannot carry
+   them — everything else escape-tagged JSON), V2 json (hot queries with
+   injected ids), and V1
    (old server: sequential, one in flight, byte-identical to the old
    client).  Requests whose responses carry no id to match on — batch,
    stats, anything not a hot op — are "barriers": the window drains and
    they fly alone, so positional matching is unambiguous. *)
 
 open Psph_obs
+module Query = Psph_engine.Query
 
 type error = Timeout | Connection of string | Protocol of string
 
@@ -140,6 +143,9 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
   }
 
 let addr t = t.addr
+
+(* only these clients send a hello; plain ones stay the v1 client *)
+let negotiates t = t.codec = `Binary || t.pipeline_depth > 1
 
 let pending_stale t =
   Mutex.lock t.lock;
@@ -344,7 +350,7 @@ let ensure_nego t =
   match c.nego with
   | Some n -> (c, n)
   | None ->
-      if t.codec = `Json && t.pipeline_depth <= 1 then begin
+      if not (negotiates t) then begin
         c.nego <- Some V1;
         (c, V1)
       end
@@ -354,21 +360,42 @@ let ensure_nego t =
 (* the pipelined driver                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* one request through the driver.  [bin] marks it windowable — a hot
-   op whose response is guaranteed to echo the transport id (hot-op
-   results and their errors both do) — and holds its pre-encoded binary
-   request (id 0, stamped per send), so the per-flight cost on a binary
-   connection is a copy, not an encode.  Everything else is a barrier.
-   The JSON forms are lazy: a binary connection never builds them. *)
+(* A serve response echoes the request's id as its first member, so a
+   windowed response starts [{"id":<digits>] — read straight off the
+   bytes, no JSON parse.  Returns the id and the offset just past it. *)
+let leading_id line =
+  let prefix = {|{"id":|} in
+  let p = String.length prefix in
+  let len = String.length line in
+  if not (String.starts_with ~prefix line) then None
+  else begin
+    let e = ref p in
+    while !e < len && !e - p < 18 && line.[!e] >= '0' && line.[!e] <= '9' do
+      incr e
+    done;
+    if !e > p && !e < len && (line.[!e] = ',' || line.[!e] = '}') then
+      Some (int_of_string (String.sub line p (!e - p)), !e)
+    else None
+  end
+
+(* one request through the driver.  [query] marks it windowable — a hot
+   query, whose response is guaranteed to echo the transport id (results
+   and errors both do); everything else is a barrier.  [bin] is its
+   pre-encoded binary request (id 0, stamped per send), so the
+   per-flight cost on a binary connection is a copy, not an encode;
+   [None] when the codec cannot carry the query (a non-auto solver mode,
+   an out-of-range field), which then rides the JSON escape.  [jline]
+   is what the item sends when it flies alone (v1, barriers).  The
+   encodings are lazy: a connection only builds the one it speaks. *)
 type ditem = {
   jline : string Lazy.t;
-  jobj : Jsonl.t option Lazy.t;
-  bin : string Lazy.t option;
+  query : Query.t option;
+  bin : string option Lazy.t;
   mutable attempts : int;  (* failed attempts so far *)
 }
 
 (* how a resolved response is represented, so [pipeline] and
-   [eval_many] can each convert without an extra round trip through the
+   [query_many] can each convert without an extra round trip through the
    other's format *)
 type rv =
   | Rbin of Codec.reply  (* binary reply, ids already transport-level *)
@@ -460,19 +487,12 @@ let drive ?on_latency t (items : ditem array) =
     let inflight () =
       Hashtbl.length window + match !barrier with Some _ -> 1 | None -> 0
     in
-    let encode_windowable it tid =
-      match it.bin with
-      | Some tpl when binary -> Codec.request_with_id (Lazy.force tpl) tid
-      | Some _ -> (
-          match Lazy.force it.jobj with
-          | Some (Jsonl.Obj fields) ->
-              Jsonl.to_string
-                (Jsonl.Obj
-                   (("id", Jsonl.int tid) :: List.remove_assoc "id" fields))
-          | _ ->
-              Lazy.force it.jline
-              (* unreachable: windowable implies a parsed object *))
-      | None -> assert false
+    let encode_windowable it q tid =
+      match Lazy.force it.bin with
+      | Some tpl when binary -> Codec.request_with_id tpl tid
+      | _ ->
+          let line = Query.to_json ~id:(Jsonl.int tid) q in
+          if binary then Codec.escape_json line else line
     in
     let encode_barrier it =
       if binary then Codec.escape_json (Lazy.force it.jline)
@@ -485,15 +505,15 @@ let drive ?on_latency t (items : ditem array) =
         if results.(idx) <> None then ignore (Queue.pop pending)
         else begin
           let it = items.(idx) in
-          match it.bin with
-          | Some _ ->
+          match it.query with
+          | Some q ->
               if !barrier = None && Hashtbl.length window < t.pipeline_depth
               then begin
                 ignore (Queue.pop pending);
                 let tid = next_tid t in
                 let now = Obs.monotonic () in
                 Frame.encode_into ~max_frame:t.max_frame out
-                  (encode_windowable it tid);
+                  (encode_windowable it q tid);
                 Hashtbl.replace window tid (idx, now, now +. t.timeout_s);
                 Obs.incr t.m.pipelined
               end
@@ -528,33 +548,19 @@ let drive ?on_latency t (items : ditem array) =
       Obs.incr t.m.stale
     in
     let handle_payload payload =
-      let cls =
-        if binary then
-          match Codec.unescape_json payload with
-          | Some line -> `Json line
-          | None -> (
-              match Codec.decode_reply payload with
-              | Ok r -> `Bin r
-              | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m))))
-        else `Json payload
-      in
-      match cls with
-      | `Bin r -> (
-          let id =
-            match r with
-            | Codec.Result { id; _ } | Codec.Failed { id; _ } -> id
-          in
-          match Hashtbl.find_opt window id with
-          | Some (idx, sent, _) -> resolve_window id idx sent (Rbin r)
-          | None -> drop_stale (Some id))
-      | `Json line -> (
-          let id =
-            match Jsonl.of_string_opt line with
-            | Some o -> Option.bind (Jsonl.member "id" o) Jsonl.to_int_opt
-            | None -> None
-          in
+      match if binary then Codec.unescape_json payload else Some payload with
+      | None -> (
+          match Codec.decode_reply payload with
+          | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m)))
+          | Ok r -> (
+              let id = match r with Codec.Result { id; _ } | Codec.Failed { id; _ } -> id in
+              match Hashtbl.find_opt window id with
+              | Some (idx, sent, _) -> resolve_window id idx sent (Rbin r)
+              | None -> drop_stale (Some id)))
+      | Some line -> (
+          let id = Option.map fst (leading_id line) in
           match id with
-          | Some i when (not binary) && Hashtbl.mem window i ->
+          | Some i when Hashtbl.mem window i ->
               let idx, sent, _ = Hashtbl.find window i in
               resolve_window i idx sent (Rinj line)
           | _ -> (
@@ -711,94 +717,79 @@ let drive ?on_latency t (items : ditem array) =
 (* public entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let item_of_query ~jline q =
+  {
+    jline;
+    query = Some q;
+    bin =
+      lazy
+        (match Codec.encode_query ~id:0 q with
+        | tpl -> Some tpl
+        | exception Invalid_argument _ -> None);
+    attempts = 0;
+  }
+
+let barrier_item line =
+  { jline = Lazy.from_val line; query = None; bin = Lazy.from_val None; attempts = 0 }
+
+(* the one parse of a caller's line: a hot query is windowed, anything
+   else is a barrier.  Returns the item and the line's own "id". *)
 let item_of_line line =
-  let jobj = Jsonl.of_string_opt line in
-  let bin =
-    match jobj with
-    | Some (Jsonl.Obj _ as o) ->
-        Codec.query_of_json o
-        |> Option.map (fun (want, query) ->
-               lazy (Codec.encode_request { Codec.id = 0; want; query }))
-    | _ -> None
-  in
-  { jline = Lazy.from_val line; jobj = Lazy.from_val jobj; bin; attempts = 0 }
-
-let orig_id it =
-  match Lazy.force it.jobj with
-  | Some o -> Jsonl.member "id" o
-  | None -> None
-
-(* swap the injected transport id back out of a response line.  The
-   server always puts the echoed id first, so this preserves the exact
-   bytes a v1 exchange would have produced. *)
-let restore_id orig line =
   match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj (("id", _) :: rest)) ->
-      Jsonl.to_string
-        (Jsonl.Obj
-           (match orig with Some v -> ("id", v) :: rest | None -> rest))
-  | _ -> line
+  | Some req -> (
+      ( (match Query.of_json req with
+        | Ok q -> item_of_query ~jline:(Lazy.from_val line) q
+        | Error _ -> barrier_item line),
+        Jsonl.member "id" req ))
+  | None -> (barrier_item line, None)
 
-let pipeline_locked ?on_latency t lines =
-  let items = Array.of_list (List.map item_of_line lines) in
+(* swap the transport id at the head of a windowed JSON response for the
+   caller's own id (or drop it), preserving every other byte *)
+let restore_id orig line =
+  match leading_id line with
+  | None -> line
+  | Some (_, e) -> (
+      let rest k = String.sub line k (String.length line - k) in
+      match orig with
+      | Some v -> {|{"id":|} ^ Jsonl.to_string v ^ rest e
+      | None -> "{" ^ rest (if line.[e] = ',' then e + 1 else e))
+
+let run_locked ?on_latency t items f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   Obs.incr ~by:(Array.length items) t.m.requests;
   Obs.with_span t.m.pipeline_span (fun sp ->
       Obs.set_attr sp "count" (Jsonl.int (Array.length items));
-      let rs = drive ?on_latency t items in
-      Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with
-             | Error e -> Error e
-             | Ok (Rraw s) -> Ok s
-             | Ok (Rinj s) -> Ok (restore_id (orig_id items.(i)) s)
-             | Ok (Rbin rep) ->
-                 Ok (Codec.json_of_reply ~id:(orig_id items.(i)) rep))
-           rs))
+      Array.to_list (Array.mapi f (drive ?on_latency t items)))
+
+(* a resolved response as the bytes a v1 exchange would have produced *)
+let response_line orig = function
+  | Rraw s -> s
+  | Rinj s -> restore_id orig s
+  | Rbin rep -> Jsonl.to_string (Query.reply_json ?id:orig rep)
 
 let pipeline ?on_latency t lines =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  pipeline_locked ?on_latency t lines
+  let items, ids = List.split (List.map item_of_line lines) in
+  let ids = Array.of_list ids in
+  run_locked ?on_latency t (Array.of_list items) (fun i r ->
+      Result.map (response_line ids.(i)) r)
+
+let query_many ?on_latency t qs =
+  let items =
+    List.map (fun q -> item_of_query ~jline:(lazy (Query.to_json q)) q) qs
+  in
+  run_locked ?on_latency t (Array.of_list items) (fun _ r ->
+      match r with
+      | Error e -> Error e
+      | Ok (Rbin rep) -> Ok rep
+      | Ok (Rraw s) | Ok (Rinj s) -> (
+          match Query.reply_of_json s with
+          | Some rep -> Ok rep
+          | None -> Error (Protocol "unparseable response")))
 
 let eval_many ?on_latency t specs =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  let items =
-    Array.of_list
-      (List.map
-         (fun (want, query) ->
-           let bin =
-             (* out-of-range queries can't ride the binary codec; let
-                them fall back to plain JSON and the server's answer *)
-             match Codec.encode_request { Codec.id = 0; want; query } with
-             | tpl -> Some (Lazy.from_val tpl)
-             | exception Invalid_argument _ -> None
-           in
-           let jline = lazy (Codec.json_line_of_query want query) in
-           {
-             jline;
-             jobj = lazy (Jsonl.of_string_opt (Lazy.force jline));
-             bin;
-             attempts = 0;
-           })
-         specs)
-  in
-  Obs.incr ~by:(Array.length items) t.m.requests;
-  Obs.with_span t.m.pipeline_span (fun sp ->
-      Obs.set_attr sp "count" (Jsonl.int (Array.length items));
-      let rs = drive ?on_latency t items in
-      Array.to_list
-        (Array.map
-           (fun r ->
-             match r with
-             | Error e -> Error e
-             | Ok (Rbin rep) -> Ok rep
-             | Ok (Rraw s) | Ok (Rinj s) -> (
-                 match Codec.reply_of_json s with
-                 | Some rep -> Ok rep
-                 | None -> Error (Protocol "unparseable response")))
-           rs))
+  query_many ?on_latency t
+    (List.map (fun (want, target) -> { Query.want; target; mode = Auto }) specs)
 
 (* the classic single-shot path, unchanged from v1 for plain clients *)
 let attempt_once t line =
@@ -842,8 +833,10 @@ let plain_request t line =
           go 0))
 
 let request t line =
-  if t.codec = `Binary || t.pipeline_depth > 1 then
-    match pipeline t [ line ] with
-    | [ r ] -> r
-    | _ -> Error (Protocol "pipeline arity") (* unreachable *)
+  if negotiates t then List.hd (pipeline t [ line ]) else plain_request t line
+
+let forward t line =
+  if negotiates t then
+    List.hd
+      (run_locked t [| barrier_item line |] (fun _ r -> Result.map (response_line None) r))
   else plain_request t line

@@ -26,11 +26,13 @@
     in flight per connection, keying the window on transport request
     ids it injects into each outgoing request and strips from each
     response, so callers see exactly the bytes a v1 exchange would
-    have produced.  Hot query ops ([psph], [betti], [connectivity],
-    [model-complex]) are windowed — and, when the server granted the
-    binary codec, translated through {!Codec} so neither side touches
-    JSON; other ops act as barriers (the window drains, they fly
-    alone) because their responses carry no id to match on.
+    have produced.  Hot queries (anything {!Psph_engine.Query.of_json}
+    accepts) are windowed — and, when the server granted the binary
+    codec, translated through {!Codec} so neither side touches JSON;
+    a query the codec cannot carry (a non-[auto] solver mode, an
+    out-of-range field) stays windowed as escape-tagged JSON.  Other
+    ops act as barriers (the window drains, they fly alone) because
+    their responses carry no id to match on.
 
     A timed-out pipelined request no longer tears down the connection:
     its id is remembered, the late response is dropped when it arrives
@@ -113,16 +115,29 @@ val pipeline :
     the bench uses it for percentiles.  Equivalent to sequential
     {!request}s against a v1 server. *)
 
+val query_many :
+  ?on_latency:(int -> float -> unit) ->
+  t ->
+  Psph_engine.Query.t list ->
+  (Psph_engine.Query.reply, error) result list
+(** {!pipeline} for typed hot queries, skipping JSON entirely on a
+    binary connection: queries are encoded straight through {!Codec}
+    and replies decoded back.  On a JSON or v1 connection, or for a
+    query the codec cannot carry, the query flies as its
+    {!Psph_engine.Query.to_json} form and its response line is parsed
+    once into the reply. *)
+
 val eval_many :
   ?on_latency:(int -> float -> unit) ->
   t ->
   (Codec.want * Codec.query) list ->
   (Codec.reply, error) result list
-(** {!pipeline} for structured hot queries, skipping JSON entirely on a
-    binary connection: queries are encoded straight through {!Codec}
-    and replies decoded back — the no-allocation-waste path the bench
-    measures.  On a JSON or v1 connection the queries fall back to
-    their {!Codec.json_line_of_query} form transparently. *)
+(** {!query_many} of [Auto]-mode queries. *)
+
+val forward : t -> string -> (string, error) result
+(** {!request} for a line the caller already knows is not a hot query:
+    sent as-is, alone on the connection, without being parsed.  The
+    router's path for the ops it does not route by key. *)
 
 val close : t -> unit
 (** Drop the connection, if any.  The client stays usable: the next

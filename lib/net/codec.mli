@@ -46,16 +46,21 @@
 
 open Psph_obs
 
-type want = Both | Betti | Connectivity
+(** The laid-out values are {!Psph_engine.Query}'s, re-exported under
+    their wire names. *)
 
-type query =
+type want = Psph_engine.Query.want = Both | Betti | Connectivity
+
+type query = Psph_engine.Query.target =
   | Psph of { n : int; values : int }
   | Facets of string list  (** {!Psph_topology.Complex_io} simplex strings *)
   | Model of { model : string; spec : Pseudosphere.Model_complex.spec }
 
 type request = { id : int; want : want; query : query }
+(** A query as the binary layout carries it: no solver mode, which is
+    always [Auto] on this path (see {!encode_query}). *)
 
-type reply =
+type reply = Psph_engine.Query.reply =
   | Result of {
       id : int;
       key : string;  (** canonical content key, lowercase hex *)
@@ -63,8 +68,6 @@ type reply =
       betti : int array option;
       connectivity : int option;
       solver : Psph_engine.Engine.provenance option;
-          (** which solver tier answered; [None] only for replies parsed
-              from a peer that predates the provenance field *)
     }
   | Failed of { id : int; message : string }
 
@@ -74,8 +77,13 @@ val max_id : int
 val encode_request : request -> string
 (** @raise Invalid_argument when a field exceeds its wire range (psph
     parameters and model parameters are u16, model names 255 bytes,
-    facet strings 65535 bytes, ids u32).  {!query_of_json} only produces
-    encodable queries. *)
+    facet strings 65535 bytes, ids u32). *)
+
+val encode_query : id:int -> Psph_engine.Query.t -> string
+(** {!encode_request} of a query addressed to [id].
+    @raise Invalid_argument also when the query's solver mode is not
+    [Auto]: the layout has no field for it, so such a query (like an
+    out-of-range one) rides the JSON escape instead. *)
 
 val decode_request : string -> (request, string) result
 
@@ -102,33 +110,15 @@ val request_id_of_payload : string -> int
     reply for a request it could not decode. *)
 
 val json_line_of_query : ?id:Jsonl.t -> want -> query -> string
-(** The JSON-lines request equivalent to a binary query — the client's
-    fallback when the server granted only JSON (or is a v1 server).
-    Inverse of {!query_of_json} on its image; combinations that image
-    never produces map to the nearest op. *)
+(** {!Psph_engine.Query.to_json} of an [Auto]-mode query — the JSON
+    request a binary one corresponds to. *)
 
 val reply_of_json : string -> reply option
-(** Parse a serve-shaped JSON response line back into a {!reply}
-    ([None] when the line is not one).  [id] is the response's "id"
-    member when it is an in-range integer, else 0. *)
-
-val query_of_json : Jsonl.t -> (want * query) option
-(** Translate a parsed hot-op JSON request to its binary query, [None]
-    when the request is not a hot op or does not fit the codec's wire
-    ranges (the caller then falls back to the JSON escape, preserving
-    exact JSON semantics — including error messages — for the oddballs). *)
-
-val json_of_reply : id:Jsonl.t option -> reply -> string
-(** The serve-shaped JSON line of a reply — byte-identical to what
-    {!Psph_engine.Serve.handle_line} answers for the equivalent JSON
-    request — with the transport id replaced by [id] ([None] omits it,
-    mirroring a request that carried no "id"). *)
+(** {!Psph_engine.Query.reply_of_json}. *)
 
 val handle :
   json:(string -> string) -> Psph_engine.Engine.t -> string -> string
-(** The binary server handler: decode, evaluate on the engine
-    (connectivity-only queries through the tiered
-    {!Psph_engine.Engine.eval_conn}), encode.
-    Escape-tagged payloads go through [json] (in production
+(** The binary server handler: decode, {!Psph_engine.Query.answer},
+    encode.  Escape-tagged payloads go through [json] (in production
     {!Psph_engine.Serve.handle_line}) and come back escape-tagged.
     Never raises; corrupt input is answered with a binary error reply. *)

@@ -48,10 +48,11 @@ val populate_failed : t -> unit
 val rebalanced : t -> int -> unit
 (** Count entries migrated to a joining backend. *)
 
-val entry_of_response : string -> (Psph_engine.Key.t * Psph_engine.Store.entry) option
-(** The store entry carried by a successful serve response line —
-    [key] plus [betti] (connectivity taken from the response, or
-    derived from the Betti vector when the op didn't ask for it).
+val entry_of_reply :
+  Psph_engine.Query.reply -> (Psph_engine.Key.t * Psph_engine.Store.entry) option
+(** The store entry carried by a successful reply — [key] plus [betti]
+    (connectivity taken from the reply, or derived from the Betti
+    vector when the query didn't ask for it).
     [None] for errors and responses without a Betti vector (a bare
     [connectivity] answer under-determines the entry). *)
 

@@ -17,7 +17,7 @@
    pushed as populate batches). *)
 
 open Psph_obs
-open Psph_topology
+module Query = Psph_engine.Query
 
 type backend = {
   baddr : Addr.t;
@@ -120,104 +120,23 @@ let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
   }
 
 (* ------------------------------------------------------------------ *)
-(* shard keys                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let int_member name j = Option.bind (Jsonl.member name j) Jsonl.to_int_opt
-
-(* mirror of the engine's spec canonicalization (Engine.spec_key_of):
-   psph by parameters, models by the registered model's own normalized
-   encoding, explicit facets by their content address — so the router
-   agrees with the backend caches about which requests are "the same" *)
-let shard_key line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as req) -> (
-      match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
-      | Some "psph" -> (
-          match (int_member "n" req, int_member "values" req) with
-          | Some n, Some v -> Some (Printf.sprintf "psph:%d:%d" n v)
-          | _ -> None)
-      | Some "model-complex" -> (
-          match Option.bind (Jsonl.member "model" req) Jsonl.to_string_opt with
-          | None -> None
-          | Some name -> (
-              match
-                (Pseudosphere.Model_complex.find name, int_member "n" req)
-              with
-              | Some model, Some n ->
-                  let d = Pseudosphere.Model_complex.default_spec in
-                  let get f dflt = Option.value (int_member f req) ~default:dflt in
-                  (* extension fields by the model's declaration, int or
-                     enum-name string — mirroring Serve's parsing, so two
-                     spellings of one request land on one shard *)
-                  let ext =
-                    List.filter_map
-                      (fun ep ->
-                        let pn = ep.Pseudosphere.Model_complex.ep_name in
-                        match Jsonl.member pn req with
-                        | None -> None
-                        | Some v -> (
-                            match Jsonl.to_int_opt v with
-                            | Some i -> Some (pn, i)
-                            | None ->
-                                Option.bind (Jsonl.to_string_opt v) (fun s ->
-                                    match ep.ep_parse s with
-                                    | Ok i -> Some (pn, i)
-                                    | Error _ -> None)))
-                      (Pseudosphere.Model_complex.ext_params_of model)
-                  in
-                  let spec =
-                    {
-                      Pseudosphere.Model_complex.n;
-                      f = get "f" d.Pseudosphere.Model_complex.f;
-                      k = get "k" d.k;
-                      p = get "p" d.p;
-                      r = get "r" d.r;
-                      ext;
-                    }
-                  in
-                  (* encode normalizes via the model; an invalid spec
-                     still shards deterministically on the raw encoding *)
-                  Some
-                    (try Pseudosphere.Model_complex.encode model spec
-                     with _ ->
-                       Printf.sprintf "%s:%d:%d:%d:%d:%d:%s" name spec.n spec.f
-                         spec.k spec.p spec.r
-                         (String.concat ","
-                            (List.map
-                               (fun (kx, v) -> Printf.sprintf "%s=%d" kx v)
-                               spec.ext)))
-              | _ -> None))
-      | Some ("betti" | "connectivity") -> (
-          match Option.bind (Jsonl.member "facets" req) Jsonl.to_list_opt with
-          | None -> None
-          | Some facets -> (
-              let strs = List.filter_map Jsonl.to_string_opt facets in
-              match
-                List.map Complex_io.simplex_of_string strs
-                |> Complex.of_facets |> Psph_engine.Key.of_complex
-                |> Psph_engine.Key.to_hex
-              with
-              | hex -> Some ("key:" ^ hex)
-              | exception _ ->
-                  (* unparseable facets: still pin repeats together *)
-                  Some ("facets:" ^ String.concat ";" strs)))
-      | _ -> None)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* placement                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let preference_in t st line =
-  match shard_key line with
+let shard_key line =
+  match Option.map Query.of_json (Jsonl.of_string_opt line) with
+  | Some (Ok q) -> Some (Query.shard_key q)
+  | _ -> None
+
+(* a key's ring walk; keyless requests rotate over every backend *)
+let order t st = function
   | Some key -> Ring.order st.ring key
   | None ->
       let nb = Array.length st.bks in
       let c = Atomic.fetch_and_add t.rr 1 in
       List.init nb (fun i -> (c + i) mod nb)
 
-let preference t line = preference_in t t.state line
+let preference t line = order t t.state (shard_key line)
 
 let backends t =
   Array.to_list (Array.map (fun b -> (b.baddr, b.alive)) t.state.bks)
@@ -245,26 +164,20 @@ let mark t st i alive =
     refresh_up_gauge t
   end
 
-let error_response ?(extra = []) line msg =
-  let fields =
-    [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] @ extra
-  in
-  let fields =
-    match Jsonl.of_string_opt line with
-    | Some (Jsonl.Obj _ as o) -> (
-        match Jsonl.member "id" o with
-        | Some id -> ("id", id) :: fields
-        | None -> fields)
-    | _ -> fields
-  in
-  Jsonl.to_string (Jsonl.Obj fields)
+let with_id id fields =
+  match id with Some id -> ("id", id) :: fields | None -> fields
+
+let error_response ?(extra = []) ~id msg =
+  Jsonl.to_string
+    (Jsonl.Obj
+       (with_id id ([ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] @ extra)))
 
 let prober_running t = t.health_thread <> None && not (Atomic.get t.stopping)
 
 (* all backends refused: while the prober runs this is a transient
    state, so the answer carries backpressure — when to come back —
    instead of just a verdict (docs/NET.md "Error contract") *)
-let degraded t line =
+let degraded t ~id =
   let extra =
     if prober_running t then
       [
@@ -274,17 +187,7 @@ let degraded t line =
       ]
     else []
   in
-  error_response ~extra line "no backend"
-
-let is_cached resp =
-  match Jsonl.of_string_opt resp with
-  | Some (Jsonl.Obj _ as o) -> Jsonl.member "cached" o = Some (Jsonl.Bool true)
-  | _ -> false
-
-let is_miss resp =
-  match Jsonl.of_string_opt resp with
-  | Some (Jsonl.Obj _ as o) -> Jsonl.member "cached" o = Some (Jsonl.Bool false)
-  | _ -> false
+  error_response ~extra ~id "no backend"
 
 (* rank of backend [i] in the preference order: 0 = primary, 1..R-1 =
    replicas, beyond = off the owner set *)
@@ -297,52 +200,44 @@ let rank prefs i =
 
 (* a miss answered by one owner is pushed to the others, so hot keys
    converge to R warm copies without any replica recomputing *)
-let populate_hint t st prefs served resp =
+let populate_hint t st prefs served reply =
   let rc = owners_count t st in
-  if rc > 1 && is_miss resp then
-    match Replica.entry_of_response resp with
-    | None -> ()
-    | Some entry ->
-        let owners = List.filteri (fun k _ -> k < rc) prefs in
-        let line = Replica.populate_line [ entry ] in
-        List.iter
-          (fun b ->
-            if b <> served && st.bks.(b).alive then
-              ignore
-                (Replica.async t.rep (fun () ->
-                     match Client.request st.bks.(b).client line with
-                     | Ok _ -> ()
-                     | Error _ -> Replica.populate_failed t.rep)))
-          owners
+  match reply with
+  | Query.Result { cached = false; _ } when rc > 1 -> (
+      match Replica.entry_of_reply reply with
+      | None -> ()
+      | Some entry ->
+          let owners = List.filteri (fun k _ -> k < rc) prefs in
+          let line = Replica.populate_line [ entry ] in
+          List.iter
+            (fun b ->
+              if b <> served && st.bks.(b).alive then
+                ignore
+                  (Replica.async t.rep (fun () ->
+                       match Client.forward st.bks.(b).client line with
+                       | Ok _ -> ()
+                       | Error _ -> Replica.populate_failed t.rep)))
+            owners)
+  | _ -> ()
 
-let route_single t sp line =
-  let st = t.state in
-  let prefs = preference_in t st line in
-  let keyed = shard_key line <> None in
-  (* live backends first, each dead one still gets a last-resort
-     try (it may have revived since the prober last looked) *)
+(* walk [prefs] live backends first — each dead one still gets a
+   last-resort try (it may have revived since the prober last looked) —
+   until one answers [send]; [answered] renders that answer *)
+let walk t st sp ~id prefs send answered =
   let live, dead = List.partition (fun i -> st.bks.(i).alive) prefs in
   let rec go first = function
     | [] ->
         Obs.incr t.m.no_backend;
         Obs.set_attr sp "degraded" (Jsonl.Bool true);
-        degraded t line
+        degraded t ~id
     | i :: rest -> (
-        match Client.request st.bks.(i).client line with
-        | Ok resp ->
+        match send st.bks.(i).client with
+        | Ok v ->
             mark t st i true;
             Obs.incr t.m.forwarded;
             Obs.set_attr sp "backend"
               (Jsonl.Str (Addr.to_string st.bks.(i).baddr));
-            if keyed then begin
-              let r = rank prefs i in
-              if t.read_fallback && r > 0 && r < owners_count t st then begin
-                Replica.fallback_read t.rep ~cached:(is_cached resp);
-                Obs.set_attr sp "fallback" (Jsonl.Bool true)
-              end;
-              populate_hint t st prefs i resp
-            end;
-            resp
+            answered i v
         | Error e when Client.is_retryable e ->
             (* transport failure: the backend (not the request)
                is the problem — mark it down and fail over *)
@@ -356,41 +251,58 @@ let route_single t sp line =
                the error instead of walking the ring marking
                healthy backends dead *)
             Obs.set_attr sp "error" (Jsonl.Str (Client.error_message e));
-            error_response line (Client.error_message e))
+            error_response ~id (Client.error_message e))
   in
   go true (live @ dead)
+
+(* a hot query rides its shard key's owners; the reply comes back typed,
+   so hints and fallback accounting read it without another parse *)
+let route_query t sp ~id q =
+  let st = t.state in
+  let prefs = Ring.order st.ring (Query.shard_key q) in
+  walk t st sp ~id prefs
+    (fun c -> List.hd (Client.query_many c [ q ]))
+    (fun i reply ->
+      let r = rank prefs i in
+      if t.read_fallback && r > 0 && r < owners_count t st then begin
+        Replica.fallback_read t.rep
+          ~cached:(match reply with Query.Result { cached; _ } -> cached | _ -> false);
+        Obs.set_attr sp "fallback" (Jsonl.Bool true)
+      end;
+      populate_hint t st prefs i reply;
+      Jsonl.to_string (Query.reply_json ?id reply))
+
+(* anything else is forwarded verbatim, round-robin *)
+let route_line t sp ~id line =
+  let st = t.state in
+  walk t st sp ~id (order t st None) (fun c -> Client.forward c line) (fun _ resp -> resp)
 
 (* ------------------------------------------------------------------ *)
 (* batch fan-out                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch of hot-op members fans out: members group by their preferred
+(* A batch of hot queries fans out: members group by their preferred
    backend (so each still lands on the cache that is warm for it) and
    each group flies down that backend's pipelined connection, groups in
-   parallel.  Only hot ops qualify because the fan-out forwards members
-   as top-level requests, and for hot ops a member's slot in a backend
-   batch response is byte-identical to the backend's top-level response
-   — so splicing the group results back together in request order
-   reproduces exactly the bytes a single backend would have sent.
-   Batches with nested/keyless members keep the v1 whole-batch path. *)
+   parallel.  A member's reply renders exactly as its slot in a backend
+   batch response would, so splicing the group results back together in
+   request order reproduces the bytes a single backend would have sent.
+   Batches with any other member keep the whole-batch path. *)
 
-let hot_op = function
-  | Jsonl.Obj _ as r -> (
-      match Option.bind (Jsonl.member "op" r) Jsonl.to_string_opt with
-      | Some ("psph" | "betti" | "connectivity" | "model-complex") -> true
-      | _ -> false)
-  | _ -> false
-
-let fanout_members line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o)
-    when Option.bind (Jsonl.member "op" o) Jsonl.to_string_opt = Some "batch"
-    -> (
-      match Option.bind (Jsonl.member "requests" o) Jsonl.to_list_opt with
-      | Some members when List.length members > 1 && List.for_all hot_op members
-        ->
-          Some (Array.of_list members)
-      | _ -> None)
+let fanout_members req =
+  match Option.bind (Jsonl.member "requests" req) Jsonl.to_list_opt with
+  | Some members when List.length members > 1 -> (
+      let parsed =
+        List.map
+          (fun m ->
+            match Query.of_json m with
+            | Ok q -> Some (Jsonl.member "id" m, q)
+            | Error _ -> None)
+          members
+      in
+      if List.for_all Option.is_some parsed then
+        Some (Array.of_list (List.map Option.get parsed))
+      else None)
   | _ -> None
 
 let route_batch t sp members =
@@ -398,10 +310,12 @@ let route_batch t sp members =
   Obs.incr t.m.fanout;
   let n = Array.length members in
   Obs.set_attr sp "fanout" (Jsonl.int n);
-  let mlines = Array.map Jsonl.to_string members in
   let responses = Array.make n None in
-  let all_prefs = Array.map (fun l -> preference_in t st l) mlines in
+  let all_prefs =
+    Array.map (fun (_, q) -> Ring.order st.ring (Query.shard_key q)) members
+  in
   let prefs = Array.map (fun p -> ref p) all_prefs in
+  let member_id i = fst members.(i) in
   (* rounds: every unresolved member tries its best untried backend
      (live first, dead as a last resort), one pipelined flight per
      backend, flights in parallel.  Preferences only shrink, so the
@@ -420,7 +334,7 @@ let route_batch t sp members =
         match choice with
         | None ->
             Obs.incr t.m.no_backend;
-            responses.(i) <- Some (degraded t mlines.(i))
+            responses.(i) <- Some (degraded t ~id:(member_id i))
         | Some b ->
             prefs.(i) := List.filter (fun x -> x <> b) remaining;
             progress := true;
@@ -431,16 +345,18 @@ let route_batch t sp members =
     if !progress then begin
       let run (b, idxs) =
         let rs =
-          Client.pipeline st.bks.(b).client (List.map (fun i -> mlines.(i)) idxs)
+          Client.query_many st.bks.(b).client
+            (List.map (fun i -> snd members.(i)) idxs)
         in
         List.iter2
           (fun i r ->
             match r with
-            | Ok resp ->
+            | Ok reply ->
                 mark t st b true;
                 Obs.incr t.m.forwarded;
-                populate_hint t st all_prefs.(i) b resp;
-                responses.(i) <- Some resp
+                populate_hint t st all_prefs.(i) b reply;
+                responses.(i) <-
+                  Some (Jsonl.to_string (Query.reply_json ?id:(member_id i) reply))
             | Error e when Client.is_retryable e ->
                 (* stays unresolved: the next round walks the member's
                    remaining preference *)
@@ -448,7 +364,7 @@ let route_batch t sp members =
                 Obs.incr t.m.failover
             | Error e ->
                 responses.(i) <-
-                  Some (error_response mlines.(i) (Client.error_message e)))
+                  Some (error_response ~id:(member_id i) (Client.error_message e)))
           idxs rs
       in
       (match Hashtbl.fold (fun b idxs acc -> (b, idxs) :: acc) groups [] with
@@ -460,14 +376,13 @@ let route_batch t sp members =
     end
   in
   round ();
-  (* splice the member responses verbatim: they are already the exact
-     bytes of the corresponding batch-result slots *)
   let buf = Buffer.create 256 in
   Buffer.add_string buf {|{"ok":true,"results":[|};
   Array.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Option.value r ~default:(degraded t mlines.(i))))
+      Buffer.add_string buf
+        (match r with Some r -> r | None -> degraded t ~id:(member_id i)))
     responses;
   Buffer.add_string buf "]}";
   Buffer.contents buf
@@ -574,19 +489,11 @@ let add_backend ?(rebalance = true) t baddr =
 (* admin ops                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let with_id_of line fields =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o) -> (
-      match Jsonl.member "id" o with
-      | Some id -> ("id", id) :: fields
-      | None -> fields)
-  | _ -> fields
-
-let cluster_response t line =
+let cluster_response t ~id =
   let st = t.state in
   Jsonl.to_string
     (Jsonl.Obj
-       (with_id_of line
+       (with_id id
           [
             ("ok", Jsonl.Bool true);
             ("epoch", Jsonl.int st.epoch);
@@ -607,17 +514,17 @@ let cluster_response t line =
 (* the joining side of the ring-epoch handshake: a (re)joining backend
    announces itself and learns the epoch its membership starts at plus
    the peer to stream its warm store from (psc serve --warm-from) *)
-let join_response t req line =
+let join_response t ~id req =
   match Option.bind (Jsonl.member "backend" req) Jsonl.to_string_opt with
-  | None -> error_response line "join needs a \"backend\" address"
+  | None -> error_response ~id "join needs a \"backend\" address"
   | Some s -> (
       match Addr.parse s with
-      | Error m -> error_response line m
+      | Error m -> error_response ~id m
       | Ok baddr -> (
           let ok joined epoch pred =
             Jsonl.to_string
               (Jsonl.Obj
-                 (with_id_of line
+                 (with_id id
                     ([
                        ("ok", Jsonl.Bool true);
                        ("joined", Jsonl.Bool joined);
@@ -645,26 +552,27 @@ let join_response t req line =
               in
               ok false st.epoch pred))
 
-let admin_op line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o) -> (
-      match Option.bind (Jsonl.member "op" o) Jsonl.to_string_opt with
-      | Some "cluster" -> Some (`Cluster o)
-      | Some "join" -> Some (`Join o)
-      | _ -> None)
-  | _ -> None
-
+(* the request line is parsed here, once; every path below works on the
+   parsed value *)
 let route t line =
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
       Obs.time t.m.request_s (fun () ->
-          match admin_op line with
-          | Some (`Cluster _) -> cluster_response t line
-          | Some (`Join req) -> join_response t req line
-          | None -> (
-              match fanout_members line with
-              | Some members -> route_batch t sp members
-              | None -> route_single t sp line)))
+          match Jsonl.of_string_opt line with
+          | None -> route_line t sp ~id:None line
+          | Some req -> (
+              let id = Jsonl.member "id" req in
+              match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
+              | Some "cluster" -> cluster_response t ~id
+              | Some "join" -> join_response t ~id req
+              | Some "batch" -> (
+                  match fanout_members req with
+                  | Some members -> route_batch t sp members
+                  | None -> route_line t sp ~id line)
+              | _ -> (
+                  match Query.of_json req with
+                  | Ok q -> route_query t sp ~id q
+                  | Error _ -> route_line t sp ~id line))))
 
 (* ------------------------------------------------------------------ *)
 (* health checks                                                       *)

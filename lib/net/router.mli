@@ -4,19 +4,14 @@
 
     The router is itself a serve-protocol peer: put {!route} behind a
     {!Server} and clients talk to it exactly as they would to a single
-    backend.  Each request is forwarded to a backend chosen by
-    consistent hashing ({!Ring}) on the request's {b shard key}:
-
-    - [betti]/[connectivity]: the content address ({!Psph_engine.Key})
-      of the complex the facets denote — the same key the backend's memo
-      store will use, so repeats of a shape always land on the backend
-      whose cache is warm for it;
-    - [psph]/[model-complex]: the normalized-spec encoding (the model's
-      own {!Pseudosphere.Model_complex.encode}), which is cheaper than
-      building the complex and canonicalizes exactly as the engine's
-      spec memo does;
-    - everything else ([batch], [stats], ...): no affinity — spread
-      round-robin over live backends.
+    backend.  A request line is parsed once; a hot query
+    ({!Psph_engine.Query.t}) is forwarded as that typed value to a
+    backend chosen by consistent hashing ({!Ring}) on its {b shard key}
+    ({!Psph_engine.Query.shard_key}: a facet query's content address, a
+    model or psph spec's normalized encoding — whatever op spells it),
+    and its reply comes back typed and is rendered once.  Everything
+    else ([batch], [stats], ...) has no affinity and is forwarded
+    verbatim, round-robin over live backends.
 
     {b Replication.}  With [replication = R > 1] a key's {e owner set}
     is the first R distinct backends of its ring walk.  A cache miss
@@ -84,8 +79,8 @@ val create :
     @raise Invalid_argument on an empty or duplicate backend list. *)
 
 val shard_key : string -> string option
-(** The shard string of a request line, [None] when the request has no
-    key affinity (batch/stats/... or unparseable). *)
+(** The shard key of a request line, [None] when it is not a hot query
+    (batch/stats/... or unparseable). *)
 
 val preference : t -> string -> int list
 (** Backend indexes in ring (failover) order for a request line under
@@ -113,8 +108,7 @@ val route : t -> string -> string
     {!Server.handler} of [psc route].  [cluster]/[join] are answered by
     the router itself (see above).
 
-    A [batch] whose members are all hot ops ([psph], [betti],
-    [connectivity], [model-complex]) {b fans out}: members are grouped
+    A [batch] whose members are all hot queries {b fans out}: members are grouped
     by their preferred backend (cache affinity preserved per member),
     each group rides that backend's pipelined connection, groups run in
     parallel, and failover happens per member.  The reassembled

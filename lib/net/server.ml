@@ -94,16 +94,9 @@ let ignore_sigpipe =
 (* an error response in the serve wire shape, echoing the request "id"
    when the original line parses far enough to have one *)
 let error_line ?orig msg =
-  let fields = [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] in
-  let fields =
-    match Option.bind orig Jsonl.of_string_opt with
-    | Some (Jsonl.Obj _ as o) -> (
-        match Jsonl.member "id" o with
-        | Some id -> ("id", id) :: fields
-        | None -> fields)
-    | _ -> fields
-  in
-  Jsonl.to_string (Jsonl.Obj fields)
+  let id = Option.bind (Option.bind orig Jsonl.of_string_opt) (Jsonl.member "id") in
+  Jsonl.to_string
+    (Psph_engine.Query.reply_json ?id (Failed { id = 0; message = msg }))
 
 let span_parent_of line =
   match Jsonl.of_string_opt line with

@@ -863,6 +863,38 @@ let serve_tests =
                   ]
                   c)
               rank_chains));
+    Alcotest.test_case "op labels stay bounded under hostile op names" `Quick
+      (fun () ->
+        let e = Lazy.force engine in
+        List.iter
+          (fun op ->
+            ignore
+              (Serve.handle_line e
+                 (Jsonl.to_string (Jsonl.Obj [ ("op", Jsonl.Str op) ]))))
+          [ "zzz1"; "zzz2"; String.make 3000 'q' ];
+        let labels =
+          [
+            "betti"; "connectivity"; "psph"; "model-complex"; "batch";
+            "models"; "stats"; "metrics"; "snapshot"; "populate"; "other";
+            "invalid";
+          ]
+        in
+        let prefix = "serve.op." in
+        let serve_ops =
+          List.filter_map
+            (fun (name, _) ->
+              if String.starts_with ~prefix name then
+                Some
+                  (String.sub name (String.length prefix)
+                     (String.length name - String.length prefix))
+              else None)
+            (Obs.snapshot ()).Obs.histograms
+        in
+        Alcotest.(check (list string))
+          "no serve.op.* histogram outside the label set" []
+          (List.filter (fun l -> not (List.mem l labels)) serve_ops);
+        Alcotest.(check bool) "unknown ops share \"other\"" true
+          (List.mem "other" serve_ops));
     (* must stay last in the last suite: stops the shared engine's domains *)
     Alcotest.test_case "shutdown" `Quick (fun () ->
         E.shutdown (Lazy.force engine));

@@ -515,44 +515,6 @@ let codec_props =
 
 let codec_tests =
   [
-    Alcotest.test_case "binary answers byte-equivalent to JSON, every model"
-      `Quick
-      (fun () ->
-        with_engine @@ fun engine ->
-        let json = Serve.handle_line engine in
-        let bin = Codec.handle ~json engine in
-        (* only want/query pairs JSON requests can express: psph and
-           model answer both measurements, facets split by op *)
-        let cases =
-          (Codec.Both, Codec.Psph { n = 2; values = 2 })
-          :: (Codec.Betti, Codec.Facets [ "0:i0 ; 1:i1" ])
-          :: (Codec.Connectivity,
-              Codec.Facets [ "0:i0 ; 1:i1"; "1:i1 ; 2:i0" ])
-          :: (Codec.Both,
-              Codec.Model { model = "nope"; spec = MC.default_spec })
-          :: List.map
-               (fun name ->
-                 ( Codec.Both,
-                   Codec.Model
-                     { model = name; spec = { MC.default_spec with n = 2 } } ))
-               (MC.names ())
-        in
-        List.iteri
-          (fun i (want, query) ->
-            let id = Jsonl.int (100 + i) in
-            let jline = Codec.json_line_of_query ~id want query in
-            (* warm first, so both sides agree on the cached flag *)
-            ignore (json jline);
-            let expect = json jline in
-            let breq = Codec.encode_request { Codec.id = 100 + i; want; query } in
-            match Codec.decode_reply (bin breq) with
-            | Error m -> fail m
-            | Ok reply ->
-                check string
-                  (Printf.sprintf "case %d: %s" i jline)
-                  expect
-                  (Codec.json_of_reply ~id:(Some id) reply))
-          cases);
     Alcotest.test_case "corrupt binary request answered in kind" `Quick
       (fun () ->
         with_engine @@ fun engine ->
@@ -564,6 +526,145 @@ let codec_tests =
             check_contains "names the decode failure" message "bad request"
         | Ok _ -> fail "expected a Failed reply addressed to id 7"
         | Error m -> fail ("reply must stay well-formed: " ^ m));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Every path agrees: one query, every way of asking it                *)
+(* ------------------------------------------------------------------ *)
+
+module Query = Psph_engine.Query
+
+let facet_pool =
+  [
+    [ "0:i0 ; 1:i1" ];
+    [ "0:i0 ; 1:i1"; "1:i1 ; 2:i0" ];
+    [ "0:i0 ; 1:i1 ; 2:i2" ];
+    [ "0:i0 ; 1:i1"; "1:i1 ; 2:i2"; "0:i0 ; 2:i2" ];
+  ]
+
+(* hot queries drawn from the registry, in the forms the JSON grammar
+   can express (psph and models answer both measurements or just
+   connectivity, facets split by op), under every solver mode *)
+let gen_query =
+  let open QCheck2.Gen in
+  let mode = oneofl [ E.Auto; E.Symbolic_only; E.Numeric_only; E.Check ] in
+  let psph = map2 (fun n values -> Query.Psph { n; values }) (0 -- 2) (1 -- 3) in
+  let model =
+    map3
+      (fun model n r -> Query.Model { model; spec = { MC.default_spec with n; r } })
+      (oneofl (MC.names ()))
+      (1 -- 2) (1 -- 1)
+  in
+  let spec_query =
+    map3
+      (fun want target mode -> { Query.want; target; mode })
+      (oneofl [ Query.Both; Query.Connectivity ])
+      (oneof [ psph; model ])
+      mode
+  in
+  let facet_query =
+    map3
+      (fun want facets mode -> { Query.want; target = Query.Facets facets; mode })
+      (oneofl [ Query.Betti; Query.Connectivity ])
+      (oneofl facet_pool) mode
+  in
+  oneof [ spec_query; facet_query ]
+
+(* the hand-listed byte-equivalence cases this property grew from,
+   plus model-owned extension fields and solver modes over psph *)
+let fixed_queries =
+  let q ?(mode = E.Auto) want target = { Query.want; target; mode } in
+  [
+    q Both (Psph { n = 2; values = 2 });
+    q Betti (Facets [ "0:i0 ; 1:i1" ]);
+    q Connectivity (Facets [ "0:i0 ; 1:i1"; "1:i1 ; 2:i0" ]);
+    q Both (Model { model = "nope"; spec = MC.default_spec });
+    q Both (Model { model = "byz"; spec = { MC.default_spec with n = 2; ext = [ ("t", 1) ] } });
+    q Both (Model { model = "dyn"; spec = { MC.default_spec with n = 2; ext = [ ("adv", 1) ] } });
+    q ~mode:E.Check Both (Psph { n = 2; values = 2 });
+    q ~mode:E.Symbolic_only Connectivity (Psph { n = 2; values = 3 });
+    q ~mode:E.Symbolic_only Both (Psph { n = 1; values = 2 });
+  ]
+  @ List.map
+      (fun model ->
+        q Both (Model { model; spec = { MC.default_spec with n = 2 } }))
+      (MC.names ())
+
+let agreement_tests =
+  [
+    Alcotest.test_case "every path agrees: in-process, serve, codec, client, router"
+      `Quick
+      (fun () ->
+        with_engine @@ fun engine ->
+        with_v2_server engine @@ fun _ a1 ->
+        with_v2_server engine @@ fun _ a2 ->
+        let jc = Client.create ~retries:1 ~codec:`Json ~pipeline_depth:4 a1 in
+        let bc = Client.create ~retries:1 ~codec:`Binary ~pipeline_depth:4 a1 in
+        let r =
+          Router.create ~timeout_ms:5000 ~retries:0 ~check_period_ms:3600_000
+            ~codec:`Binary ~pipeline_depth:8 [ a1; a2 ]
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Client.close jc;
+            Client.close bc;
+            Router.stop r)
+        @@ fun () ->
+        let json = Serve.handle_line engine in
+        (* the first path that disagrees with the in-process answer *)
+        let disagreement q =
+          let id = Jsonl.int 7 in
+          let line = Query.to_json ~id q in
+          let render reply = Jsonl.to_string (Query.reply_json ~id reply) in
+          (* warm, so every path sees the same cache state *)
+          ignore (Query.answer engine q);
+          let expect = render (Query.answer engine q) in
+          let one = function
+            | [ Ok v ] -> v
+            | [ Error e ] -> "client error: " ^ Client.error_message e
+            | _ -> "wrong arity"
+          in
+          let codec =
+            match Codec.encode_query ~id:7 q with
+            | payload -> (
+                match Codec.decode_reply (Codec.handle ~json engine payload) with
+                | Ok reply -> render reply
+                | Error m -> "undecodable: " ^ m)
+            | exception Invalid_argument _ ->
+                (* no binary layout for it: the JSON escape *)
+                Option.value ~default:"not escaped"
+                  (Codec.unescape_json
+                     (Codec.handle ~json engine (Codec.escape_json line)))
+          in
+          let typed =
+            match Client.query_many bc [ q ] with
+            | [ Ok reply ] -> render reply
+            | rs -> one (List.map (Result.map (fun _ -> "")) rs)
+          in
+          List.find_map
+            (fun (path, got) ->
+              if got = expect then None
+              else
+                Some
+                  (Printf.sprintf "%s disagrees on %s\nexpected %s\ngot      %s"
+                     path line expect got))
+            [
+              ("Serve.handle_line", json line);
+              ("Codec.handle", codec);
+              ("Client.pipeline json", one (Client.pipeline jc [ line ]));
+              ("Client.pipeline binary", one (Client.pipeline bc [ line ]));
+              ("Client.query_many binary", typed);
+              ("Router.route", Router.route r line);
+            ]
+        in
+        List.iter (fun q -> Option.iter fail (disagreement q)) fixed_queries;
+        QCheck2.Test.check_exn
+          (QCheck2.Test.make ~name:"every path agrees" ~count:60
+             ~print:(fun q -> Query.to_json q)
+             gen_query (fun q ->
+               match disagreement q with
+               | None -> true
+               | Some m -> QCheck2.Test.fail_report m)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -634,6 +735,32 @@ let pipeline_tests =
           (List.combine expect got);
         check int "nothing was windowed" 0
           (Obs.counter_value (Obs.counter "t.fallback.pipelined")));
+    Alcotest.test_case "binary pipeline honours the solver field" `Quick
+      (fun () ->
+        with_engine @@ fun engine ->
+        with_v2_server engine @@ fun _srv addr ->
+        let c =
+          Client.create ~retries:1 ~codec:`Binary ~pipeline_depth:4 addr
+        in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        let lines =
+          [
+            {|{"op":"psph","n":2,"values":2,"solver":"check","id":1}|};
+            {|{"op":"psph","n":2,"values":2,"solver":"bogus","id":2}|};
+          ]
+        in
+        List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
+        let expect = List.map (Serve.handle_line engine) lines in
+        check_contains "check mode reports its bound" (List.hd expect)
+          {|"checked":|};
+        check_contains "a bad mode is refused" (List.nth expect 1)
+          {|"ok":false|};
+        List.iteri
+          (fun i (e, g) ->
+            match g with
+            | Ok g -> check string (Printf.sprintf "line %d" i) e g
+            | Error err -> fail (Client.error_message err))
+          (List.combine expect (Client.pipeline c lines)));
     Alcotest.test_case "eval_many: structured replies, JSON fallback in-range"
       `Quick
       (fun () ->
@@ -850,6 +977,14 @@ let router_tests =
              {|{"op":"connectivity","facets":["1:i1 ; 2:i0","0:i0 ; 1:i1"]}|});
         check bool "content-addressed" true
           (match k1 with Some s -> String.length s > 4 && String.sub s 0 4 = "key:" | None -> false);
+        (* the connectivity forms of a spec key like its full forms *)
+        check (option string) "connectivity psph form"
+          (Some "psph:2:3")
+          (Router.shard_key {|{"op":"connectivity","n":2,"values":3}|});
+        check bool "connectivity model form" true
+          (Router.shard_key {|{"op":"connectivity","model":"sync","n":3}|} <> None
+          && Router.shard_key {|{"op":"connectivity","model":"sync","n":3}|}
+             = Router.shard_key {|{"op":"model-complex","model":"sync","n":3}|});
         check (option string) "stats has no affinity" None
           (Router.shard_key {|{"op":"stats"}|});
         check (option string) "garbage has no affinity" None
@@ -1096,25 +1231,23 @@ let replica_tests =
         check_contains "malformed entries skipped, not fatal"
           (Serve.handle_line b {|{"op":"populate","entries":["not a store line"]}|})
           {|"skipped":1|});
-    Alcotest.test_case "entry_of_response reads answers, rejects the rest"
+    Alcotest.test_case "entry_of_reply reads answers, rejects the rest"
       `Quick
       (fun () ->
         with_engine @@ fun e ->
-        let resp =
-          Serve.handle_line e {|{"op":"betti","facets":["0:i0 ; 1:i1"]}|}
+        let entry line =
+          Option.bind (Query.reply_of_json (Serve.handle_line e line))
+            Replica.entry_of_reply
         in
-        (match Replica.entry_of_response resp with
+        (match entry {|{"op":"betti","facets":["0:i0 ; 1:i1"]}|} with
         | Some (key, _) ->
             check bool "key is the stored one" true
               (List.mem_assoc key (E.snapshot e))
-        | None -> fail ("no entry from " ^ resp));
+        | None -> fail "no entry from a betti answer");
         check bool "errors carry no entry" true
-          (Replica.entry_of_response {|{"ok":false,"error":"x"}|} = None);
+          (entry {|{"op":"nope"}|} = None);
         check bool "bare connectivity under-determines the entry" true
-          (Replica.entry_of_response
-             (Serve.handle_line e
-                {|{"op":"connectivity","facets":["0:i0 ; 1:i1"]}|})
-          = None));
+          (entry {|{"op":"connectivity","facets":["0:i0 ; 1:i1"]}|} = None));
     Alcotest.test_case "warm_from streams a peer's cache over TCP" `Quick
       (fun () ->
         with_engine @@ fun a ->
@@ -1462,6 +1595,7 @@ let suites =
     ("net frame", frame_tests @ frame_props);
     ("net loopback", loopback_tests);
     ("net codec", codec_props @ codec_tests);
+    ("net agreement", agreement_tests);
     ("net pipeline", pipeline_tests);
     ("net reset taxonomy", reset_tests);
     ("net router", router_tests);
