@@ -363,8 +363,10 @@ let sweep_tests =
 (* Reference points for the two connectivity tiers.  The symbolic rows
    answer union queries at n = 6..8 — sizes where realizing the complex
    (let alone eliminating its boundary matrices) is out of reach — in
-   O(formula); the numeric rows put a number on what the Morse
-   precollapse saves at a size the numeric tier still handles. *)
+   O(formula); the numeric rows put a number on what a Morse precollapse
+   costs or saves at a size the numeric tier still handles (the engine
+   eliminates directly).  The collapsed row keeps the original dimension
+   as the cap, since the core can be lower-dimensional. *)
 let solver_tests =
   let sync61 = { Model_complex.n = 6; f = 3; k = 1; p = 2; r = 1; ext = [] } in
   let sync63 = { Model_complex.n = 6; f = 3; k = 1; p = 2; r = 3; ext = [] } in
@@ -379,7 +381,8 @@ let solver_tests =
     t "solver: symbolic psph n=8 values=4 (Corollary 6)" (fun () ->
         Solver.symbolic_psph ~n:8 ~values:4);
     t "solver: numeric sync n=3 r=1 connectivity, Morse-reduced" (fun () ->
-        Homology.connectivity_reduced (Sync_complex.rounds ~k:1 ~r:1 (input_simplex 3)));
+        let c = Sync_complex.rounds ~k:1 ~r:1 (input_simplex 3) in
+        Homology.connectivity ~cap:(Complex.dim c) (fst (Collapse.reduce c)));
     t "solver: numeric sync n=3 r=1 connectivity, no precollapse" (fun () ->
         Homology.connectivity (Sync_complex.rounds ~k:1 ~r:1 (input_simplex 3)));
   ]
@@ -471,7 +474,9 @@ let engine_bench () =
 
 (* Per registered model and n in {2, 3}, wall-time the r=1 and r=2
    protocol-complex builds plus both connectivity tiers on the r=1 query —
-   numeric (Morse-reduced elimination on the built complex) and symbolic
+   numeric (Morse precollapse then elimination on the built complex, as
+   the engine did when this sweep was introduced, so the recorded
+   trajectory stays comparable) and symbolic
    (the solver derivation, which never builds it) — and write
    BENCH_models.json: the per-model, per-tier perf trajectory successive
    PRs can diff, generated from the registry so a newly registered model
@@ -496,7 +501,9 @@ let models_bench () =
                     in
                     let c1, r1_s = timed_m "r1" (fun () -> M.rounds (spec 1) s) in
                     let conn, conn_s =
-                      timed_m "conn" (fun () -> Homology.connectivity_reduced c1)
+                      timed_m "conn" (fun () ->
+                          Homology.connectivity ~cap:(Complex.dim c1)
+                            (fst (Collapse.reduce c1)))
                     in
                     let sym, sym_s =
                       timed_m "symbolic" (fun () -> Solver.symbolic_model m (spec 1))
@@ -830,7 +837,15 @@ let () =
     cluster_bench ();
     exit 0);
   let quota =
-    if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 0.5
+    if Array.length Sys.argv <= 1 then 0.5
+    else
+      match float_of_string_opt Sys.argv.(1) with
+      | Some q when q > 0. && Float.is_finite q -> q
+      | _ ->
+          prerr_endline
+            "usage: main.exe [QUOTA_SECONDS | net | cluster]\n\
+            \  QUOTA_SECONDS  positive per-test bechamel quota (default 0.5)";
+          exit 2
   in
   let tests =
     fig_tests @ psph_tests @ async_tests @ sync_tests @ semi_tests @ mv_tests

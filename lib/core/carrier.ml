@@ -33,15 +33,27 @@ let iterate step r s =
    Distinct branches of the recursion reach identical (round, state)
    pairs — e.g. the failure-free facet of every branch in which all
    survivors heard everything — so results are memoized per call on
-   [(r, Intern.simplex_id s)] (the branch generator is fixed for the
-   whole call). *)
+   [(r, s)] (the branch generator is fixed for the whole call).  The memo
+   hashes structurally with [Vertex.hash]: polymorphic hashing is unsound
+   on simplexes, whose labels may hold order-dependent [Pid.Set] trees. *)
+module Memo = Hashtbl.Make (struct
+  type t = int * Simplex.t
+
+  let equal (r, s) (r', s') = r = r' && Simplex.equal s s'
+
+  let hash (r, s) =
+    Array.fold_left
+      (fun h v -> (h * 0x01000193) lxor Vertex.hash v)
+      r (Simplex.vertex_array s)
+end)
+
 let compose ~branches r s =
-  let memo : (int * int, Complex.t) Hashtbl.t = Hashtbl.create 97 in
+  let memo : Complex.t Memo.t = Memo.create 97 in
   let rec go r s =
     if r <= 0 then Complex.of_simplex s
     else
-      let key = (r, Intern.simplex_id s) in
-      match Hashtbl.find_opt memo key with
+      let key = (r, s) in
+      match Memo.find_opt memo key with
       | Some c -> c
       | None ->
           (* one trace event per distinct (rounds-remaining, state) node
@@ -55,7 +67,7 @@ let compose ~branches r s =
                   acc (Complex.facets b))
               Complex.empty (branches s)
           in
-          Hashtbl.add memo key c;
+          Memo.add memo key c;
           c
   in
   go r s

@@ -8,7 +8,7 @@
     registered model and spec (or a raw pseudosphere query) it produces a
     connectivity {e lower bound} in O(formula) time, without realizing the
     complex — the fast path the query engine tries before falling back to
-    Morse-reduced numeric elimination.
+    numeric elimination.
 
     Because every rule here bounds from below, a numeric cross-check must
     assert [numeric >= symbolic], not equality: e.g. the async one-round

@@ -33,10 +33,11 @@
    instance in the process.
 
    Thread-safety: the engine lock guards both tables.  The underlying
-   computations are safe to run on worker domains because [Intern]'s
-   tables are mutex-guarded and everything else on the path is immutable
-   (a racing duplicate miss computes the same answer twice and the second
-   [Lru.add] is a no-op overwrite — wasteful, never wrong). *)
+   computations are safe to run on worker domains because the path shares
+   no mutable state: complexes are immutable, and elimination numbers
+   vertices in a table local to the call (a racing duplicate miss
+   computes the same answer twice and the second [Lru.add] is a no-op
+   overwrite — wasteful, never wrong). *)
 
 open Psph_obs
 open Psph_topology
@@ -57,7 +58,6 @@ type provenance = {
   tier : tier;
   rule : string option;  (* symbolic: the rule that concluded the bound *)
   steps : int option;  (* symbolic: proof size *)
-  cells_removed : int option;  (* numeric: Morse-eliminated simplices *)
   checked : int option;  (* check mode: the symbolic bound verified against *)
 }
 
@@ -94,8 +94,6 @@ let queries_c = lazy (Obs.counter "engine.queries")
 
 let symbolic_hits_c = lazy (Obs.counter "solver.symbolic_hit")
 
-let cells_removed_c = lazy (Obs.counter "solver.collapse.cells_removed")
-
 let build_h = lazy (Obs.histogram "engine.build_s")
 
 let compute_h = lazy (Obs.histogram "engine.compute_s")
@@ -107,14 +105,12 @@ type t = {
   lock : Mutex.t;
   persist : string option;
   par_threshold : int;
-  morse : bool;
 }
 
 let default_domains () =
   min 4 (max 1 (Domain.recommended_domain_count () - 1))
 
-let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048)
-    ?(morse = true) () =
+let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048) () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let t =
     {
@@ -124,7 +120,6 @@ let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048)
       lock = Mutex.create ();
       persist;
       par_threshold;
-      morse;
     }
   in
   Option.iter
@@ -162,11 +157,11 @@ let build = function
 
 (* provenance constructors *)
 let no_prov tier =
-  { tier; rule = None; steps = None; cells_removed = None; checked = None }
+  { tier; rule = None; steps = None; checked = None }
 
 let cached_prov = no_prov Cached
 
-let numeric_prov removed = { (no_prov Numeric) with cells_removed = Some removed }
+let numeric_prov = no_prov Numeric
 
 let symbolic_prov (s : Solver.symbolic) =
   {
@@ -188,30 +183,19 @@ let provenance_fields p =
   ]
   @ (match p.rule with Some r -> [ ("rule", Jsonl.Str r) ] | None -> [])
   @ (match p.steps with Some s -> [ ("steps", Jsonl.int s) ] | None -> [])
-  @ (match p.cells_removed with
-    | Some n -> [ ("cells_removed", Jsonl.int n) ]
-    | None -> [])
   @ match p.checked with Some b -> [ ("checked", Jsonl.int b) ] | None -> []
 
-(* Betti vector and connectivity from the boundary ranks, mirroring
-   [Homology.reduced_betti]/[betti]/[connectivity] (the property tests in
-   test/test_engine.ml hold this mirror to the original).  [c] is the
-   complex the ranks were computed on — possibly a Morse core — while
-   [dim] is the original complex's dimension: the core's reduced homology
-   equals the original's in every dimension (zero above the core's), so
-   the Betti vector is padded and the connectivity search still runs to
-   the original dimension. *)
-let answer_of_ranks ?dim c r =
-  let cdim = Complex.dim c in
-  let dim = match dim with None -> cdim | Some d -> d in
+(* Betti vector and connectivity from the boundary ranks of [c],
+   mirroring [Homology.reduced_betti]/[betti]/[connectivity] (the property
+   tests in test/test_engine.ml hold this mirror to the original). *)
+let answer_of_ranks c r =
+  let dim = Complex.dim c in
   if dim < 0 then { betti = [||]; connectivity = -2 }
   else begin
     let reduced =
       Array.init (dim + 1) (fun d ->
-          if d > cdim then 0
-          else
-            Complex.count_of_dim c d - r.(d)
-            - (if d + 1 <= cdim then r.(d + 1) else 0))
+          Complex.count_of_dim c d - r.(d)
+          - if d + 1 <= dim then r.(d + 1) else 0)
     in
     let betti = Array.copy reduced in
     betti.(0) <- betti.(0) + 1;
@@ -221,24 +205,20 @@ let answer_of_ranks ?dim c r =
     { betti; connectivity = conn 0 }
   end
 
-(* Morse-precollapse (unless disabled), then eliminate over the critical
-   core; the fan-out decision reads the post-collapse size, since that is
-   what elimination will chew on.  Returns the answer plus the number of
-   cells the collapse removed. *)
+(* Eliminate [c] directly, fanning the per-dimension rank jobs out to the
+   pool when the complex is large enough to pay for it. *)
 let compute t c =
-  let core, removed = if t.morse then Collapse.reduce c else (c, 0) in
-  if removed > 0 then Obs.incr ~by:removed (Lazy.force cells_removed_c);
-  let r, jobs = Homology.rank_jobs core in
+  let r, jobs = Homology.rank_jobs c in
   if
     Pool.size t.pool > 1
     && List.length jobs > 1
-    && Complex.num_simplices core >= t.par_threshold
+    && Complex.num_simplices c >= t.par_threshold
   then begin
     let futures = List.map (fun (d, job) -> (d, Pool.submit t.pool job)) jobs in
     List.iter (fun (d, fut) -> r.(d) <- Pool.await fut) futures
   end
   else List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
-  (answer_of_ranks ~dim:(Complex.dim c) core r, removed)
+  answer_of_ranks c r
 
 (* slow path: build the complex, derive its content key, consult the LRU.
    [sk_opt] is the caller's spec key, recorded so the next occurrence of
@@ -256,13 +236,11 @@ let eval_uncached t sk_opt spec =
   match hit with
   | Some answer -> { key; answer; cached = true; solver = cached_prov }
   | None ->
-      let answer, removed =
-        Obs.time (Lazy.force compute_h) (fun () -> compute t c)
-      in
+      let answer = Obs.time (Lazy.force compute_h) (fun () -> compute t c) in
       Mutex.lock t.lock;
       Lru.add t.cache key answer;
       Mutex.unlock t.lock;
-      { key; answer; cached = false; solver = numeric_prov removed }
+      { key; answer; cached = false; solver = numeric_prov }
 
 (* the spec-memo fast path: a warm slot answers without building *)
 let cache_probe t spec =

@@ -3,10 +3,10 @@
    Two complexes that are structurally equal (same simplex set) must map to
    the same key no matter how they were built, so the key is derived by
    folding over the whole simplex set in its canonical [Simplex.compare]
-   order, hashing each vertex with [Intern.vertex_hash] — the pure
-   structural hash, not the process-local intern id, so keys survive
-   serialization and are stable across processes (the on-disk store
-   depends on this).
+   order, hashing each vertex with [Vertex.hash] — a pure structural hash
+   with no per-process state, so keys survive serialization and are
+   stable across processes (the on-disk store and ring placement depend
+   on this).
 
    Hashing every simplex rather than just the facets is deliberate: the
    simplex set determines the complex (and vice versa), and extracting
@@ -40,7 +40,7 @@ let of_complex c =
       h2 := (!h2 * 0x9e3779b1) lxor 0x67;
       Array.iter
         (fun v ->
-          let vh = Intern.vertex_hash 0x811c9dc5 v in
+          let vh = Vertex.hash v in
           h1 := (!h1 * 0x01000193) lxor (vh land max_int);
           h2 := (!h2 * 0x9e3779b1) lxor (vh land max_int))
         (Simplex.vertex_array s))

@@ -1,7 +1,7 @@
 (** Canonical content addresses for complexes.
 
     [of_complex] hashes the full simplex set in canonical order with the
-    pure structural vertex hash from {!Psph_topology.Intern}, so
+    pure structural vertex hash {!Psph_topology.Vertex.hash}, so
     structurally equal complexes get equal keys regardless of construction
     history or process — the property the memo store's cache slots and
     on-disk persistence both rely on.  (Hashing the set rather than the

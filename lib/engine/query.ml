@@ -280,7 +280,6 @@ let provenance_of_json s =
         Engine.tier;
         rule = str "rule";
         steps = num "steps";
-        cells_removed = num "cells_removed";
         checked = num "checked";
       })
     tier

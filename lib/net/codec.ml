@@ -54,7 +54,8 @@ let fl_solver = 8
 (* solver-block presence bits (second flag byte inside the block) *)
 let sp_rule = 1
 let sp_steps = 2
-let sp_cells = 4
+(* retired: announced a precollapse cell count; decoders reject it *)
+let sp_retired = 4
 let sp_checked = 8
 
 (* ------------------------------------------------------------------ *)
@@ -291,12 +292,11 @@ let encode_reply = function
             betti
       | None -> ());
       (match solver with
-      | Some { Psph_engine.Engine.tier; rule; steps; cells_removed; checked } ->
+      | Some { Psph_engine.Engine.tier; rule; steps; checked } ->
           u8 b (tier_code tier);
           let present =
             (match rule with Some _ -> sp_rule | None -> 0)
             lor (match steps with Some _ -> sp_steps | None -> 0)
-            lor (match cells_removed with Some _ -> sp_cells | None -> 0)
             lor (match checked with Some _ -> sp_checked | None -> 0)
           in
           u8 b present;
@@ -309,11 +309,6 @@ let encode_reply = function
           (match steps with
           | Some v ->
               range "solver steps" v max_id;
-              u32 b v
-          | None -> ());
-          (match cells_removed with
-          | Some v ->
-              range "solver cells_removed" v max_id;
               u32 b v
           | None -> ());
           (match checked with
@@ -375,6 +370,8 @@ let decode_reply payload =
                   | None -> raise (Short "bad solver tier byte")
                 in
                 let present = r8 c "solver presence flags" in
+                if present land sp_retired <> 0 then
+                  raise (Short "retired solver presence bit 2 set");
                 let rule =
                   if present land sp_rule <> 0 then begin
                     let len = r16 c "solver rule length" in
@@ -386,11 +383,6 @@ let decode_reply payload =
                   if present land sp_steps <> 0 then Some (r32 c "solver steps")
                   else None
                 in
-                let cells_removed =
-                  if present land sp_cells <> 0 then
-                    Some (r32 c "solver cells_removed")
-                  else None
-                in
                 let checked =
                   if present land sp_checked <> 0 then begin
                     let raw = r32 c "solver checked" in
@@ -398,7 +390,7 @@ let decode_reply payload =
                   end
                   else None
                 in
-                Some { Psph_engine.Engine.tier; rule; steps; cells_removed; checked }
+                Some { Psph_engine.Engine.tier; rule; steps; checked }
               end
               else None
             in

@@ -1,7 +1,7 @@
 (* Discrete-Morse collapse over dense integer ids.
 
    The complex is indexed once: every simplex gets a dense id (via its
-   canonical interned vertex-id key), and one pass over the simplices
+   vertex-id key under a numbering local to the call), and one pass over the simplices
    records, for each simplex, the ids of its (dim+1)-cofaces and of its
    facets.  Because a complex is closed under containment, a simplex with
    exactly one (dim+1)-coface has exactly one proper coface overall — it is
@@ -24,11 +24,12 @@ let index c =
   let n = Complex.num_simplices c in
   let sx = Array.make n Simplex.empty in
   let ids : (int array, int) Hashtbl.t = Hashtbl.create (2 * n) in
+  let key = Simplex.numbering () in
   let i = ref 0 in
   Complex.iter
     (fun s ->
       sx.(!i) <- s;
-      Hashtbl.replace ids (Intern.key s) !i;
+      Hashtbl.replace ids (key s) !i;
       incr i)
     c;
   let cofaces = Array.make n [] in
@@ -39,7 +40,7 @@ let index c =
       if Simplex.dim s > 0 then
         List.iter
           (fun face ->
-            let f = Hashtbl.find ids (Intern.key face) in
+            let f = Hashtbl.find ids (key face) in
             cofaces.(f) <- t :: cofaces.(f);
             count.(f) <- count.(f) + 1;
             facet_ids.(t) <- f :: facet_ids.(t))

@@ -28,15 +28,19 @@ let boundary_matrix c d =
    where the operator at d = 0 is the augmentation (so its rank is 1 on any
    nonempty complex).
 
-   Fast path: one traversal of the complex buckets the interned vertex-id
-   key of every simplex by dimension; each boundary matrix is then built
-   with an int-array-keyed Hashtbl row index (no Simplex.compare on the hot
-   path) and eliminated by the bit-packed {!Bitmat} engine.  Row order
-   within a dimension is arbitrary but fixed, which is all rank needs.
+   Fast path: one traversal of the complex buckets the vertex-id key of
+   every simplex by dimension, over a vertex numbering local to this call
+   ({!Simplex.numbering}: nothing outlives the computation).  The
+   traversal is canonical and visits every vertex before any edge, so ids
+   follow canonical vertex order.  Each boundary matrix is then built with
+   an int-keyed row index (no Simplex.compare on the hot path) and
+   eliminated by the bit-packed {!Bitmat} engine.  Rank does not depend on
+   row or column order, but the elimination's fill-in does, so both stay
+   canonical (see the [List.rev] below).
 
    [rank_jobs] exposes the per-dimension eliminations as independent
-   thunks: the bucketing pass (which interns, hence locks) happens once in
-   the calling domain, and each returned closure reads only its own
+   thunks: the bucketing pass (which owns the numbering table) happens once
+   in the calling domain, and each returned closure reads only its own
    dimension's immutable key lists — safe to run on any domain.  The query
    engine schedules these on its worker pool for large complexes; [ranks]
    just runs them in order. *)
@@ -53,15 +57,19 @@ let rank_jobs ?max_dim c =
     else begin
       let keys = Array.make (upper + 1) [] in
       let max_id = ref 0 in
+      let key = Simplex.numbering () in
       Complex.iter
         (fun s ->
           let d = Simplex.dim s in
           if d <= upper then begin
-            let k = Intern.key s in
+            let k = key s in
             Array.iter (fun i -> if i > !max_id then max_id := i) k;
             keys.(d) <- k :: keys.(d)
           end)
         c;
+      (* back to canonical order: reducing the columns in reverse order
+         fills in far more (sync S^1(S^6), k = 3: 42 s against 6 s) *)
+      let keys = Array.map List.rev keys in
       (* bits needed to hold any vertex id *)
       let id_bits =
         let rec loop b = if !max_id lsr b = 0 then b else loop (b + 1) in
@@ -219,40 +227,6 @@ let connectivity ?cap c =
       else loop (k + 1)
     in
     loop 0
-  end
-
-(* Morse-reduced entry points: collapse to the critical-cell core first
-   ({!Collapse.reduce}), then eliminate.  The core is homotopy equivalent
-   to the input, so these agree exactly with the direct versions while the
-   boundary matrices are built over (often far) fewer cells. *)
-
-let ranks_reduced ?max_dim c =
-  let core, _removed = Collapse.reduce c in
-  (core, ranks ?max_dim core)
-
-let betti_reduced ?max_dim c =
-  let dim = Complex.dim c in
-  if dim < 0 then [||]
-  else begin
-    let top = match max_dim with None -> dim | Some m -> min m dim in
-    let core, _ = Collapse.reduce c in
-    let b = betti ?max_dim core in
-    let n = Array.length b in
-    (* the core may have lower dimension; its missing Betti numbers are 0 *)
-    if n >= top + 1 then b
-    else begin
-      let out = Array.make (top + 1) 0 in
-      Array.blit b 0 out 0 n;
-      out
-    end
-  end
-
-let connectivity_reduced ?cap c =
-  if Complex.is_empty c then -2
-  else begin
-    let cap = match cap with None -> Complex.dim c | Some k -> k in
-    let core, _ = Collapse.reduce c in
-    connectivity ~cap core
   end
 
 let euler_from_betti c =

@@ -7,16 +7,16 @@ let group_to_string g =
   let tors = List.map (Printf.sprintf "Z/%d") g.torsion in
   match free @ tors with [] -> "0" | parts -> String.concat " + " parts
 
-(* Row index keyed by interned vertex-id arrays (Hashtbl, not
-   Map.Make(Simplex)): rank and torsion are invariant under row order, so
-   any fixed enumeration of the (d-1)-simplexes works. *)
-let index_of_dim c d =
+(* Row index keyed by vertex-id arrays from the caller's numbering
+   (Hashtbl, not Map.Make(Simplex)): rank and torsion are invariant under
+   row order, so any fixed enumeration of the (d-1)-simplexes works. *)
+let index_of_dim key c d =
   let idx : (int array, int) Hashtbl.t = Hashtbl.create 256 in
   let n = ref 0 in
   Complex.iter
     (fun s ->
       if Simplex.dim s = d then begin
-        Hashtbl.replace idx (Intern.key s) !n;
+        Hashtbl.replace idx (key s) !n;
         incr n
       end)
     c;
@@ -24,13 +24,14 @@ let index_of_dim c d =
 
 let boundary_matrix_z c d =
   if d <= 0 then invalid_arg "Homology_z.boundary_matrix_z: dimension must be >= 1";
-  let rows_idx, nrows = index_of_dim c (d - 1) in
+  let key = Simplex.numbering () in
+  let rows_idx, nrows = index_of_dim key c (d - 1) in
   let cols = Complex.simplices_of_dim c d in
   let ncols = List.length cols in
   let m = Array.make_matrix nrows ncols 0 in
   List.iteri
     (fun j s ->
-      let a = Intern.key s in
+      let a = key s in
       let n = Array.length a in
       (* facets in vertex-deletion order, so the i-th facet carries sign
          (-1)^i *)

@@ -197,3 +197,15 @@ let restrict_ids k s =
        (fun v ->
          match Vertex.pid v with Some p -> Pid.Set.mem p k | None -> false)
        (Array.to_seq s))
+
+let numbering () =
+  let ids = Vertex.Tbl.create 64 in
+  let id v =
+    match Vertex.Tbl.find ids v with
+    | i -> i
+    | exception Not_found ->
+        let i = Vertex.Tbl.length ids in
+        Vertex.Tbl.add ids v i;
+        i
+  in
+  fun s -> Array.map id s

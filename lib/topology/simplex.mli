@@ -92,3 +92,12 @@ val without_ids : Pid.Set.t -> t -> t
 
 val restrict_ids : Pid.Set.t -> t -> t
 (** The face spanned by the [Proc] vertices whose pid {e is} in the set. *)
+
+val numbering : unit -> t -> int array
+(** [numbering ()] starts a fresh vertex numbering for one computation and
+    returns its lookup: applied to a simplex, it gives the ids of the
+    simplex's vertices in canonical order, numbering each vertex densely
+    (0, 1, ...) on first sight.  Within one numbering two simplexes are
+    equal iff their id arrays are, and the arrays are safe for polymorphic
+    hashing.  The table lives only as long as the lookup and is not
+    synchronized: use one numbering per computation and per domain. *)

@@ -21,6 +21,12 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** Structural hash, consistent with {!equal}: sets inside labels are
+    folded in canonical element order, so equal vertices hash equally
+    however they were built, in every process.  Use it (never polymorphic
+    [Hashtbl.hash]) to hash vertices; content keys are built on it. *)
+
 val pp : Format.formatter -> t -> unit
 
 val pid : t -> Pid.t option
@@ -36,3 +42,6 @@ val relabel : (Label.t -> Label.t) -> t -> t
 module Set : Stdlib.Set.S with type elt = t
 
 module Map : Stdlib.Map.S with type key = t
+
+module Tbl : Stdlib.Hashtbl.S with type key = t
+(** Hash tables keyed by {!hash} and {!equal}. *)

@@ -50,6 +50,29 @@ let key_tests =
         match Key.of_hex_opt (Key.to_hex k) with
         | Some k' -> Alcotest.(check bool) "equal" true (Key.equal k k')
         | None -> Alcotest.fail "hex did not parse");
+    (* pinned content keys: if one changes, every persisted store and
+       every ring placement is re-keyed *)
+    Alcotest.test_case "golden keys are stable" `Quick (fun () ->
+        let e = E.create ~domains:0 () in
+        let key_of line =
+          match Jsonl.of_string_opt (Serve.handle_line e line) with
+          | Some o -> Option.bind (Jsonl.member "key" o) Jsonl.to_string_opt
+          | None -> None
+        in
+        List.iter
+          (fun (line, hex) ->
+            Alcotest.(check (option string)) line (Some hex) (key_of line))
+          [
+            ( {|{"op":"psph","n":2,"values":2}|},
+              "396b5fca90117eca31bf514fd5e35d60" );
+            ( {|{"op":"model-complex","model":"sync","n":2,"r":1}|},
+              "285c4e37d88d6a5f3464620ec8f9b49d" );
+            ( {|{"op":"betti","facets":["0:i0 ; 1:i1","1:i1 ; 2:i2"]}|},
+              "3cff794e95fcdad52b6e060600744b61" );
+            ( {|{"op":"model-complex","model":"byz","n":2,"t":2,"equiv":"none"}|},
+              "2d0b9b1d311c0303260a08c7b424d995" );
+          ];
+        E.shutdown e);
     Alcotest.test_case "bad hex rejected" `Quick (fun () ->
         Alcotest.(check bool) "short" true (Key.of_hex_opt "abc" = None);
         Alcotest.(check bool)
@@ -353,6 +376,35 @@ let engine_unit_tests =
         let e = Lazy.force engine in
         let r = E.eval e (E.Explicit c) in
         Alcotest.(check (array int)) "betti" (Homology.betti c) r.E.answer.E.betti);
+    (* every complex here has vertices never seen before, so any table
+       that outlives a computation and grows per vertex (a process-global
+       interning table, say) shows up as live heap *)
+    Alcotest.test_case "live heap plateaus over distinct complexes" `Quick
+      (fun () ->
+        let e = E.create ~domains:0 ~capacity:64 () in
+        let fresh i =
+          let vx p = (Pid.of_int p, Label.Int i) in
+          Complex.of_facets
+            [ Simplex.of_procs [ vx 0; vx 1 ]; Simplex.of_procs [ vx 1; vx 2 ] ]
+        in
+        let run lo hi =
+          for i = lo to hi - 1 do
+            ignore (Homology.connectivity (fresh i));
+            ignore (E.eval e (E.Explicit (fresh (-1 - i))))
+          done
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+        in
+        (* warm-up fills the cache to capacity and registers every metric *)
+        run 0 1_000;
+        let before = live () in
+        run 1_000 21_000;
+        let grown = live () - before in
+        E.shutdown e;
+        if grown >= 1 lsl 20 then
+          Alcotest.failf "live heap grew by %d bytes over 20k complexes" grown);
     Alcotest.test_case "stats counters move" `Quick (fun () ->
         let s = E.stats (Lazy.force engine) in
         Alcotest.(check bool) "queries > 0" true (s.E.queries > 0);
@@ -397,13 +449,11 @@ let solver_tier_tests =
         Alcotest.(check string) "still symbolic" "symbolic"
           (tier_name r2.E.solver.E.tier);
         Alcotest.(check bool) "stable key" true (Key.equal r1.E.key r2.E.key));
-    Alcotest.test_case "numeric tier records Morse provenance, then the cache"
+    Alcotest.test_case "numeric tier records its provenance, then the cache"
       `Quick (fun () ->
         with_solver_engine @@ fun e ->
         let r1 = E.eval_conn ~mode:E.Numeric_only e async2 in
         Alcotest.(check string) "tier" "numeric" (tier_name r1.E.solver.E.tier);
-        Alcotest.(check bool) "cells_removed recorded" true
-          (r1.E.solver.E.cells_removed <> None);
         let r2 = E.eval_conn ~mode:E.Numeric_only e async2 in
         Alcotest.(check string) "warm tier" "cached" (tier_name r2.E.solver.E.tier);
         Alcotest.(check bool) "cached" true r2.E.cached;
@@ -488,13 +538,12 @@ let solver_tier_tests =
             E.tier = E.Numeric;
             rule = Some "Lemma 12";
             steps = Some 3;
-            cells_removed = Some 7;
             checked = Some 1;
           }
         in
         Alcotest.(check (list string))
           "field order"
-          [ "tier"; "rule"; "steps"; "cells_removed"; "checked" ]
+          [ "tier"; "rule"; "steps"; "checked" ]
           (List.map fst (E.provenance_fields p)));
   ]
 

@@ -442,17 +442,14 @@ let gen_request =
 let gen_provenance =
   let open QCheck2.Gen in
   map
-    (fun (tier, (rule, (steps, (cells_removed, checked)))) ->
-      { E.tier; rule; steps; cells_removed; checked })
+    (fun (tier, (rule, (steps, checked))) -> { E.tier; rule; steps; checked })
     (pair
        (oneofl [ E.Cached; E.Symbolic; E.Numeric ])
        (pair
           (option (string_size (0 -- 40)))
           (pair
              (option (int_range 0 0xFFFFFFFF))
-             (pair
-                (option (int_range 0 0xFFFFFFFF))
-                (option (int_range (-0x80000000) 0x7FFFFFFF))))))
+             (option (int_range (-0x80000000) 0x7FFFFFFF)))))
 
 let gen_reply =
   let open QCheck2.Gen in
@@ -498,11 +495,20 @@ let codec_props =
         match Codec.decode_request (String.sub wire 0 k) with
         | Ok _ -> false
         | Error _ -> true);
+    (* besides random bytes, one hand-built numeric reply whose solver
+       block sets the retired presence bit 2 (followed by the u32 it once
+       announced): it must be refused, not decoded with the u32 skipped
+       or misread as a later field *)
     Test.make ~name:"garbage decodes to Error or Ok, never raises" ~count:500
-      Gen.(string_size (0 -- 64))
-      (fun s ->
+      Gen.(
+        oneof
+          [
+            map (fun s -> (s, false)) (string_size (0 -- 64));
+            pure ("\x80\x00\x00\x00\x01\x08\x00\x02\x04\x00\x00\x00\x07", true);
+          ])
+      (fun (s, retired) ->
         (match Codec.decode_request s with Ok _ | Error _ -> true)
-        && match Codec.decode_reply s with Ok _ | Error _ -> true);
+        && match Codec.decode_reply s with Ok _ -> not retired | Error _ -> true);
     Test.make ~name:"json escape hatch round-trips" ~count:200
       Gen.(string_size (0 -- 80))
       (fun s ->

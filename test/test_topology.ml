@@ -534,11 +534,6 @@ let prop_tests =
         let core, removed = Collapse.reduce c in
         Complex.num_simplices core + removed = Complex.num_simplices c
         && same_betti (Homology.betti core) (Homology.betti c));
-    Test.make ~count ~name:"betti_reduced equals betti" gen_small_complex
-      (fun c -> Homology.betti_reduced c = Homology.betti c);
-    Test.make ~count ~name:"connectivity_reduced equals connectivity"
-      gen_small_complex (fun c ->
-        Homology.connectivity_reduced c = Homology.connectivity c);
     Test.make ~count ~name:"barycentric preserves betti" gen_small_complex (fun c ->
         Homology.betti (Subdivision.barycentric c) = Homology.betti c);
     Test.make ~count ~name:"facets regenerate the complex" gen_small_complex (fun c ->
