@@ -640,11 +640,10 @@ let net_bench () =
               List.iter Thread.join
                 (List.init conns (fun w -> Thread.create worker w)))
         in
-        Array.sort compare lats;
         let n = Array.length lats in
-        let q p = lats.(min (n - 1) (int_of_float (p *. float_of_int n))) in
+        let q = Psph_load.Loadgen.percentile lats in
         let mean = Array.fold_left ( +. ) 0. lats /. float_of_int n in
-        (conns, depth, n, wall, float_of_int n /. wall, mean, q 0.5, q 0.99)
+        (conns, depth, n, wall, float_of_int n /. wall, mean, q 50., q 99.)
       in
       let rows =
         List.concat_map

@@ -769,14 +769,13 @@ let route_pipeline_depth_arg =
            pipelining, negotiated per backend).")
 
 let route_cmd =
-  let run trace listen backends max_conns replicas vnodes read_fallback
-      timeout_ms retries check_period_ms codec pipeline_depth reactor_threads =
+  let run trace listen backends max_conns replicas vnodes timeout_ms retries
+      check_period_ms codec pipeline_depth reactor_threads =
     let code =
       with_trace trace @@ fun () ->
       let router =
-        Psph_net.Router.create ~vnodes ~replication:replicas ~read_fallback
-          ~timeout_ms ~retries ~check_period_ms ~codec
-          ~pipeline_depth:(max 1 pipeline_depth)
+        Psph_net.Router.create ~vnodes ~replication:replicas ~timeout_ms
+          ~retries ~check_period_ms ~codec ~pipeline_depth:(max 1 pipeline_depth)
           backends
       in
       Psph_net.Router.start_health_checks router;
@@ -838,15 +837,6 @@ let route_cmd =
       & info [ "vnodes" ] ~docv:"N"
           ~doc:"Virtual nodes per backend on the consistent-hash ring.")
   in
-  let read_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "read-fallback" ]
-          ~doc:
-            "Count reads served by a non-primary owner after primary failure \
-             in the net.router.replica.* metrics (fallback_read/fallback_hit); \
-             the failover itself always happens.")
-  in
   let check_period_arg =
     Arg.(
       value & opt int 1000
@@ -868,7 +858,7 @@ let route_cmd =
           parallel.")
     Term.(
       const run $ trace_arg $ listen_arg $ backend_arg $ max_conns_arg
-      $ replicas_arg $ vnodes_arg $ read_fallback_arg $ timeout_ms_arg
+      $ replicas_arg $ vnodes_arg $ timeout_ms_arg
       $ retries_arg $ check_period_arg $ codec_arg $ route_pipeline_depth_arg
       $ reactor_threads_arg)
 

@@ -18,9 +18,10 @@
    building the complex just to hash it costs more than the lookup it
    guards — while the content key underneath still unifies a symbolic
    query with an [Explicit] copy of the same complex.  The front table is
-   unbounded but tiny (a handful of ints per distinct spec ever seen); the
-   bounded LRU holds the actual answers, and a spec whose answer was
-   evicted just recomputes and re-enters.
+   an LRU of the cache's capacity ([engine.spec_memo.*]): many specs can
+   share one content slot (every [psph] with [values = 0] is the empty
+   complex), so bounding the answers alone would not bound it.  A spec
+   whose binding or answer was evicted just rebuilds and re-enters.
 
    Observability: every [eval] runs in an [engine.query] root span
    carrying the content key and the hit/miss outcome, so a trace can tell
@@ -101,7 +102,7 @@ let compute_h = lazy (Obs.histogram "engine.compute_s")
 type t = {
   pool : Pool.t;
   cache : (Key.t, answer) Lru.t;
-  spec_memo : (spec_key, Key.t) Hashtbl.t;
+  spec_memo : (spec_key, Key.t) Lru.t;
   lock : Mutex.t;
   persist : string option;
   par_threshold : int;
@@ -116,7 +117,7 @@ let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048) () =
     {
       pool = Pool.create ~metrics:"engine.pool" ~domains ();
       cache = Lru.create ~metrics:"engine.cache" ~capacity ();
-      spec_memo = Hashtbl.create 64;
+      spec_memo = Lru.create ~metrics:"engine.spec_memo" ~capacity ();
       lock = Mutex.create ();
       persist;
       par_threshold;
@@ -186,24 +187,17 @@ let provenance_fields p =
   @ match p.checked with Some b -> [ ("checked", Jsonl.int b) ] | None -> []
 
 (* Betti vector and connectivity from the boundary ranks of [c],
-   mirroring [Homology.reduced_betti]/[betti]/[connectivity] (the property
-   tests in test/test_engine.ml hold this mirror to the original). *)
+   mirroring [Homology.reduced_betti]/[betti] (the property tests in
+   test/test_engine.ml hold this mirror to the original). *)
 let answer_of_ranks c r =
   let dim = Complex.dim c in
-  if dim < 0 then { betti = [||]; connectivity = -2 }
-  else begin
-    let reduced =
-      Array.init (dim + 1) (fun d ->
-          Complex.count_of_dim c d - r.(d)
-          - if d + 1 <= dim then r.(d + 1) else 0)
-    in
-    let betti = Array.copy reduced in
-    betti.(0) <- betti.(0) + 1;
-    let rec conn k =
-      if k > dim then dim else if reduced.(k) <> 0 then k - 1 else conn (k + 1)
-    in
-    { betti; connectivity = conn 0 }
-  end
+  let reduced =
+    Array.init (dim + 1) (fun d ->
+        Complex.count_of_dim c d - r.(d) - if d + 1 <= dim then r.(d + 1) else 0)
+  in
+  let betti = Array.copy reduced in
+  if dim >= 0 then betti.(0) <- betti.(0) + 1;
+  { betti; connectivity = Homology.connectivity_of_reduced reduced }
 
 (* Eliminate [c] directly, fanning the per-dimension rank jobs out to the
    pool when the complex is large enough to pay for it. *)
@@ -230,7 +224,7 @@ let eval_uncached t sk_opt spec =
   let t1 = Obs.monotonic () in
   Obs.observe (Lazy.force build_h) (t1 -. t0);
   Mutex.lock t.lock;
-  Option.iter (fun sk -> Hashtbl.replace t.spec_memo sk key) sk_opt;
+  Option.iter (fun sk -> Lru.add t.spec_memo sk key) sk_opt;
   let hit = Lru.find_opt t.cache key in
   Mutex.unlock t.lock;
   match hit with
@@ -249,15 +243,14 @@ let cache_probe t spec =
   | Some sk ->
       Mutex.lock t.lock;
       let fast =
-        match Hashtbl.find_opt t.spec_memo sk with
+        match Lru.find_opt t.spec_memo sk with
         | None -> None
         | Some key -> (
+            (* an evicted answer leaves the binding in place; the rebuild
+               that follows rebinds it *)
             match Lru.find_opt t.cache key with
             | Some answer -> Some { key; answer; cached = true; solver = cached_prov }
-            | None ->
-                (* the answer was evicted; drop the binding and rebuild *)
-                Hashtbl.remove t.spec_memo sk;
-                None)
+            | None -> None)
       in
       Mutex.unlock t.lock;
       fast

@@ -60,6 +60,15 @@ let push_front t n =
   (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
   t.mru <- Some n
 
+(* compare node identity: [t.mru != Some n] would test a freshly
+   allocated option and always hold *)
+let promote t n =
+  match t.mru with
+  | Some m when m == n -> ()
+  | _ ->
+      unlink t n;
+      push_front t n
+
 let find_opt t k =
   match Hashtbl.find_opt t.tbl k with
   | None ->
@@ -67,10 +76,7 @@ let find_opt t k =
       None
   | Some n ->
       Obs.incr t.hits;
-      if t.mru != Some n then begin
-        unlink t n;
-        push_front t n
-      end;
+      promote t n;
       Some n.nvalue
 
 let evict_lru t =
@@ -85,10 +91,7 @@ let add t k v =
   match Hashtbl.find_opt t.tbl k with
   | Some n ->
       n.nvalue <- v;
-      if t.mru != Some n then begin
-        unlink t n;
-        push_front t n
-      end
+      promote t n
   | None ->
       if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
       let n = { nkey = k; nvalue = v; prev = None; next = None } in

@@ -1,16 +1,25 @@
 (* Reconnecting request/response client with optional pipelining and
    binary codec (wire protocol v2).
 
-   The v1 discipline survives intact for plain clients: each attempt
-   gets [timeout_ms] of budget covering connect, send and receive
-   (nonblocking connect + select, SO_SNDTIMEO / SO_RCVTIMEO), and any
-   failed attempt discards the socket, because on an id-less connection
-   a late response would be mistaken for the answer to the next request.
+   Every request, from a single [request] to a thousand-line [pipeline],
+   runs through one state machine ([drive]).  Requests whose responses
+   echo a transport id — hot queries on a v2 connection — ride a window
+   of up to [pipeline_depth] in flight; everything else is a "barrier":
+   the window drains, it flies alone, and its response is matched by
+   position.  A connection's mode comes from a hello frame on fresh
+   connections: V2 binary (hot queries as {!Codec} bytes — or as
+   escape-tagged JSON with an injected id when the layout cannot carry
+   them — everything else escape-tagged JSON), V2 json (hot queries with
+   injected ids), and V1 (a plain client, which sends no hello, or an
+   old server).  V1 is the driver with an empty window: every request is
+   a barrier sent verbatim, byte-identical to the classic client.
 
-   Pipelined connections change exactly that last rule.  The client
-   injects a transport request id into every windowed request and keys
-   the in-flight window on it, so a late response is identifiable — and
-   therefore harmless.  A timed-out request keeps the connection: its id
+   Each flight gets [timeout_ms] of budget (nonblocking connect + select,
+   SO_SNDTIMEO / SO_RCVTIMEO).  A barrier that fails discards the socket,
+   because on a positional exchange a late response would be mistaken
+   for the answer to the next request.  Windowed requests change exactly
+   that rule: the id makes a late response identifiable — and therefore
+   harmless.  A timed-out windowed request keeps the connection: its id
    moves to the connection's stale set, the retry flies with a fresh id,
    and when the orphaned response eventually lands it is dropped and
    counted ([net.client.stale_response]) instead of poisoning the
@@ -21,18 +30,7 @@
    so a window miss with a transport-range id is a late response by
    construction, whatever the set remembers.  Only transport-level
    failures (torn frames, oversized frames, dead sockets, barrier
-   timeouts) tear the connection down.
-
-   The driver below runs every request through one state machine with
-   three per-connection modes, negotiated by a hello frame on fresh
-   connections: V2 binary (hot queries as {!Codec} bytes — or as
-   escape-tagged JSON with an injected id when the layout cannot carry
-   them — everything else escape-tagged JSON), V2 json (hot queries with
-   injected ids), and V1
-   (old server: sequential, one in flight, byte-identical to the old
-   client).  Requests whose responses carry no id to match on — batch,
-   stats, anything not a hot op — are "barriers": the window drains and
-   they fly alone, so positional matching is unambiguous. *)
+   timeouts) tear the connection down. *)
 
 open Psph_obs
 module Query = Psph_engine.Query
@@ -67,6 +65,8 @@ type nego = V1 | V2 of { binary : bool }
 type conn = {
   fd : Unix.file_descr;
   reader : Frame.reader;  (* persistent: frames can span reads *)
+  rbuf : Bytes.t;  (* read scratch *)
+  out : Buffer.t;  (* frames encoded but not yet sent *)
   stale : (int, float) Hashtbl.t;  (* timed-out id -> expiry of the debt *)
   mutable nego : nego option;
 }
@@ -143,9 +143,6 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
   }
 
 let addr t = t.addr
-
-(* only these clients send a hello; plain ones stay the v1 client *)
-let negotiates t = t.codec = `Binary || t.pipeline_depth > 1
 
 let pending_stale t =
   Mutex.lock t.lock;
@@ -231,6 +228,8 @@ let ensure_connected t deadline =
         {
           fd;
           reader = Frame.reader ~max_frame:t.max_frame ();
+          rbuf = Bytes.create 65536;
+          out = Buffer.create 4096;
           stale = Hashtbl.create 8;
           nego = None;
         }
@@ -264,37 +263,34 @@ let send_all fd s deadline =
   in
   go 0
 
-(* read whole frames from the connection's reader until one payload is
-   complete or the deadline runs out.  Any failure discards the whole
-   connection (reader included), so a half-frame can never leak into the
-   next exchange. *)
-let recv_one c deadline =
-  let buf = Bytes.create 65536 in
-  let rec go () =
-    match Frame.next c.reader with
-    | Some payload -> payload
-    | None -> (
-        let budget = deadline -. Obs.monotonic () in
-        if budget <= 0. then raise (Err Timeout);
-        set_timeout c.fd Unix.SO_RCVTIMEO budget;
-        match Unix.read c.fd buf 0 (Bytes.length buf) with
-        | 0 -> connection "connection closed by server (torn frame)"
-        | n -> (
-            match Frame.feed c.reader buf 0 n with
-            | () -> go ()
-            | exception Frame.Oversized len ->
-                raise
-                  (Err
-                     (Protocol
-                        (Printf.sprintf "oversized frame from server (%d bytes)"
-                           len))))
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            raise (Err Timeout)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) -> connection_io "receive" e)
-  in
-  go ()
+(* one read into the connection's frame reader, waiting at most
+   [budget] seconds; [false] when the wait ran out.  Any failure
+   discards the whole connection (reader included), so a half-frame can
+   never leak into the next exchange. *)
+let read_some c budget =
+  set_timeout c.fd Unix.SO_RCVTIMEO budget;
+  match Unix.read c.fd c.rbuf 0 (Bytes.length c.rbuf) with
+  | 0 -> connection "connection closed by server (torn frame)"
+  | n -> (
+      match Frame.feed c.reader c.rbuf 0 n with
+      | () -> true
+      | exception Frame.Oversized len ->
+          raise
+            (Err
+               (Protocol
+                  (Printf.sprintf "oversized frame from server (%d bytes)" len))))
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  | exception Unix.Unix_error (e, _, _) -> connection_io "receive" e
+
+(* the next whole payload, or [Timeout] at the deadline *)
+let rec recv_one c deadline =
+  match Frame.next c.reader with
+  | Some payload -> payload
+  | None ->
+      let budget = deadline -. Obs.monotonic () in
+      if budget <= 0. || not (read_some c budget) then raise (Err Timeout);
+      recv_one c deadline
 
 (* carry the ambient span id across the wire (only while tracing: the
    rewrite costs a parse, and span ids only mean something to a trace) *)
@@ -341,23 +337,23 @@ let negotiate t c deadline =
   c.nego <- Some nego;
   nego
 
-(* connect if needed, negotiate if the connection is fresh.  Plain
-   clients (json codec, depth 1) never send a hello: they stay
-   byte-for-byte the v1 client. *)
+(* connect if needed, negotiate if the connection is fresh.  Only a
+   client that asked for the binary codec or a window sends a hello; a
+   plain one (json codec, depth 1) stays byte-for-byte the v1 client. *)
 let ensure_nego t =
   let deadline = Obs.monotonic () +. t.timeout_s in
   let c = ensure_connected t deadline in
   match c.nego with
   | Some n -> (c, n)
   | None ->
-      if not (negotiates t) then begin
+      if t.codec = `Binary || t.pipeline_depth > 1 then (c, negotiate t c deadline)
+      else begin
         c.nego <- Some V1;
         (c, V1)
       end
-      else (c, negotiate t c deadline)
 
 (* ------------------------------------------------------------------ *)
-(* the pipelined driver                                                *)
+(* the driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* A serve response echoes the request's id as its first member, so a
@@ -385,11 +381,12 @@ let leading_id line =
    per-flight cost on a binary connection is a copy, not an encode;
    [None] when the codec cannot carry the query (a non-auto solver mode,
    an out-of-range field), which then rides the JSON escape.  [jline]
-   is what the item sends when it flies alone (v1, barriers).  The
-   encodings are lazy: a connection only builds the one it speaks. *)
+   is what the item sends when it flies alone (v1, barriers).  All three
+   are lazy: a connection only builds what it speaks, so a v1 connection
+   never parses the caller's line. *)
 type ditem = {
   jline : string Lazy.t;
-  query : Query.t option;
+  query : Query.t option Lazy.t;
   bin : string option Lazy.t;
   mutable attempts : int;  (* failed attempts so far *)
 }
@@ -402,15 +399,21 @@ type rv =
   | Rraw of string  (* verbatim response line (barrier or v1) *)
   | Rinj of string  (* JSON response carrying an injected transport id *)
 
+let as_error = function Err e -> e | e -> Connection (Printexc.to_string e)
+
 let drive ?on_latency t (items : ditem array) =
   let n = Array.length items in
   let results : (rv, error) result option array = Array.make n None in
   let unresolved () = Array.exists Option.is_none results in
+  (* consecutive failed sessions since the last answer: the backoff
+     exponent *)
+  let streak = ref 0 in
   let resolve ?latency idx r =
     if results.(idx) = None then begin
       results.(idx) <- Some r;
       match r with
       | Ok _ ->
+          streak := 0;
           Option.iter
             (fun l ->
               Obs.observe t.m.request_s l;
@@ -428,62 +431,33 @@ let drive ?on_latency t (items : ditem array) =
       resolve idx (Error e)
     else Obs.incr t.m.retries
   in
-  let pending = Queue.create () in
-  let rebuild_pending () =
-    Queue.clear pending;
-    Array.iteri (fun i r -> if r = None then Queue.add i pending) results
-  in
-  let streak = ref 0 in
-  (* could not even get a negotiated connection: everyone unfinished
-     pays an attempt, then back off before trying again *)
-  let conn_failure e =
+  (* the connection is unusable: drop it, charge every request that was
+     on it an attempt, and back off before the survivors re-fly *)
+  let fail e on_conn =
     disconnect t;
     if e = Timeout then Obs.incr t.m.timeouts;
-    Array.iteri (fun i r -> if r = None then bump e i) results;
+    List.iter (bump e) on_conn;
     if unresolved () then begin
       Thread.delay (backoff_delay t !streak);
       incr streak
     end
   in
-  let buf = Bytes.create 65536 in
+  let pending = Queue.create () in
 
-  (* -------------------- V1: sequential fallback -------------------- *)
-  let v1_drain c =
-    let inflight = ref (-1) in
-    try
-      while not (Queue.is_empty pending) do
-        let idx = Queue.pop pending in
-        if results.(idx) = None then begin
-          let it = items.(idx) in
-          inflight := idx;
-          let t0 = Obs.monotonic () in
-          let deadline = t0 +. t.timeout_s in
-          send_all c.fd
-            (Frame.encode ~max_frame:t.max_frame
-               (with_span_parent (Lazy.force it.jline)))
-            deadline;
-          let resp = recv_one c deadline in
-          inflight := -1;
-          resolve ~latency:(Obs.monotonic () -. t0) idx (Ok (Rraw resp))
-        end
-      done
-    with e ->
-      let e = match e with Err e -> e | e -> Connection (Printexc.to_string e) in
-      disconnect t;
-      if e = Timeout then Obs.incr t.m.timeouts;
-      if !inflight >= 0 then bump e !inflight;
-      if unresolved () then begin
-        Thread.delay (backoff_delay t !streak);
-        incr streak
-      end
-  in
-
-  (* ---------------------- V2: windowed pump ------------------------ *)
-  let pump c binary =
+  (* The pump.  Windowed hot queries keep up to [depth] in flight, keyed
+     by transport id; barriers fly alone and are matched by position.  A
+     v1 connection is the pump with an empty window: every item is a
+     barrier, sent verbatim, and its response is taken whatever id it
+     carries — a v1 failure always tears the connection down, so no late
+     response can be waiting on it. *)
+  let pump c nego =
+    let depth, binary =
+      match nego with V1 -> (0, false) | V2 { binary } -> (t.pipeline_depth, binary)
+    in
     (* tid -> (item index, sent_at, deadline) *)
-    let window = Hashtbl.create (2 * t.pipeline_depth) in
+    let window = Hashtbl.create (2 * depth) in
     let barrier = ref None in
-    let out = Buffer.create 4096 in
+    let out = c.out in
     let inflight () =
       Hashtbl.length window + match !barrier with Some _ -> 1 | None -> 0
     in
@@ -495,8 +469,11 @@ let drive ?on_latency t (items : ditem array) =
           if binary then Codec.escape_json line else line
     in
     let encode_barrier it =
-      if binary then Codec.escape_json (Lazy.force it.jline)
-      else Lazy.force it.jline
+      let line = Lazy.force it.jline in
+      match nego with
+      | V1 -> with_span_parent line
+      | V2 { binary = true } -> Codec.escape_json line
+      | V2 { binary = false } -> line
     in
     let fill () =
       let again = ref true in
@@ -505,10 +482,9 @@ let drive ?on_latency t (items : ditem array) =
         if results.(idx) <> None then ignore (Queue.pop pending)
         else begin
           let it = items.(idx) in
-          match it.query with
+          match if depth = 0 then None else Lazy.force it.query with
           | Some q ->
-              if !barrier = None && Hashtbl.length window < t.pipeline_depth
-              then begin
+              if !barrier = None && Hashtbl.length window < depth then begin
                 ignore (Queue.pop pending);
                 let tid = next_tid t in
                 let now = Obs.monotonic () in
@@ -558,7 +534,7 @@ let drive ?on_latency t (items : ditem array) =
               | Some (idx, sent, _) -> resolve_window id idx sent (Rbin r)
               | None -> drop_stale (Some id)))
       | Some line -> (
-          let id = Option.map fst (leading_id line) in
+          let id = if depth = 0 then None else Option.map fst (leading_id line) in
           match id with
           | Some i when Hashtbl.mem window i ->
               let idx, sent, _ = Hashtbl.find window i in
@@ -647,62 +623,29 @@ let drive ?on_latency t (items : ditem array) =
       if inflight () > 0 then begin
         let now = Obs.monotonic () in
         let dl = nearest_deadline () in
-        if dl <= now then expire ()
-        else begin
-          set_timeout c.fd Unix.SO_RCVTIMEO (dl -. now);
-          match Unix.read c.fd buf 0 (Bytes.length buf) with
-          | 0 -> connection "connection closed by server (torn frame)"
-          | n -> (
-              match Frame.feed c.reader buf 0 n with
-              | () -> ()
-              | exception Frame.Oversized len ->
-                  raise
-                    (Err
-                       (Protocol
-                          (Printf.sprintf
-                             "oversized frame from server (%d bytes)" len))))
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              expire ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (e, _, _) -> connection_io "receive" e
-        end;
+        if dl <= now || not (read_some c (dl -. now)) then expire ();
         go ()
       end
       else if not (Queue.is_empty pending) then go ()
     in
     try go ()
     with e ->
-      (* transport-level failure: the connection is unusable.  Fatal
-         errors resolve every in-flight request; retryable ones cost
-         each an attempt and the survivors re-fly on a fresh
-         connection. *)
-      let e = match e with Err e -> e | e -> Connection (Printexc.to_string e) in
-      disconnect t;
-      if e = Timeout then Obs.incr t.m.timeouts;
-      Hashtbl.iter (fun _ (idx, _, _) -> bump e idx) window;
-      (match !barrier with Some (idx, _, _) -> bump e idx | None -> ());
-      if unresolved () then begin
-        Thread.delay (backoff_delay t !streak);
-        incr streak
-      end
+      (* transport-level failure: fatal errors resolve every request on
+         the connection; retryable ones cost each an attempt *)
+      let on_conn = Hashtbl.fold (fun _ (idx, _, _) acc -> idx :: acc) window [] in
+      fail (as_error e)
+        (match !barrier with Some (idx, _, _) -> idx :: on_conn | None -> on_conn)
   in
 
   let rec session () =
     if unresolved () then begin
-      rebuild_pending ();
+      Queue.clear pending;
+      Array.iteri (fun i r -> if r = None then Queue.add i pending) results;
       (match ensure_nego t with
+      | c, nego -> pump c nego
       | exception e ->
-          let e =
-            match e with Err e -> e | e -> Connection (Printexc.to_string e)
-          in
-          conn_failure e
-      | c, V1 ->
-          streak := 0;
-          v1_drain c
-      | c, V2 { binary } ->
-          streak := 0;
-          pump c binary);
+          (* no negotiated connection: everyone unfinished pays *)
+          fail (as_error e) (List.of_seq (Queue.to_seq pending)));
       session ()
     end
   in
@@ -717,31 +660,32 @@ let drive ?on_latency t (items : ditem array) =
 (* public entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let encode_bin q =
+  match Codec.encode_query ~id:0 q with
+  | tpl -> Some tpl
+  | exception Invalid_argument _ -> None
+
 let item_of_query ~jline q =
-  {
-    jline;
-    query = Some q;
-    bin =
-      lazy
-        (match Codec.encode_query ~id:0 q with
-        | tpl -> Some tpl
-        | exception Invalid_argument _ -> None);
-    attempts = 0;
-  }
+  { jline; query = Lazy.from_val (Some q); bin = lazy (encode_bin q); attempts = 0 }
 
-let barrier_item line =
-  { jline = Lazy.from_val line; query = None; bin = Lazy.from_val None; attempts = 0 }
-
-(* the one parse of a caller's line: a hot query is windowed, anything
-   else is a barrier.  Returns the item and the line's own "id". *)
+(* the one parse of a caller's line, made only if the connection asks
+   whether the item is a hot query: one is windowed, anything else is a
+   barrier.  Returns the item and the line's own "id". *)
 let item_of_line line =
-  match Jsonl.of_string_opt line with
-  | Some req -> (
-      ( (match Query.of_json req with
-        | Ok q -> item_of_query ~jline:(Lazy.from_val line) q
-        | Error _ -> barrier_item line),
-        Jsonl.member "id" req ))
-  | None -> (barrier_item line, None)
+  let req = lazy (Jsonl.of_string_opt line) in
+  let query =
+    lazy
+      (match Lazy.force req with
+      | Some r -> Result.to_option (Query.of_json r)
+      | None -> None)
+  in
+  ( {
+      jline = Lazy.from_val line;
+      query;
+      bin = lazy (Option.bind (Lazy.force query) encode_bin);
+      attempts = 0;
+    },
+    lazy (Option.bind (Lazy.force req) (Jsonl.member "id")) )
 
 (* swap the transport id at the head of a windowed JSON response for the
    caller's own id (or drop it), preserving every other byte *)
@@ -754,31 +698,42 @@ let restore_id orig line =
       | Some v -> {|{"id":|} ^ Jsonl.to_string v ^ rest e
       | None -> "{" ^ rest (if line.[e] = ',' then e + 1 else e))
 
-let run_locked ?on_latency t items f =
+let run_locked ?on_latency ~span t items f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   Obs.incr ~by:(Array.length items) t.m.requests;
-  Obs.with_span t.m.pipeline_span (fun sp ->
+  Obs.with_span span (fun sp ->
+      let rs = drive ?on_latency t items in
       Obs.set_attr sp "count" (Jsonl.int (Array.length items));
-      Array.to_list (Array.mapi f (drive ?on_latency t items)))
+      let attempts = ref 0 in
+      Array.iteri
+        (fun i r ->
+          attempts := !attempts + items.(i).attempts;
+          match r with
+          | Ok _ -> incr attempts
+          | Error e -> Obs.set_attr sp "error" (Jsonl.Str (error_message e)))
+        rs;
+      Obs.set_attr sp "attempts" (Jsonl.int !attempts);
+      Array.to_list (Array.mapi f rs))
 
 (* a resolved response as the bytes a v1 exchange would have produced *)
 let response_line orig = function
   | Rraw s -> s
-  | Rinj s -> restore_id orig s
-  | Rbin rep -> Jsonl.to_string (Query.reply_json ?id:orig rep)
+  | Rinj s -> restore_id (Lazy.force orig) s
+  | Rbin rep -> Jsonl.to_string (Query.reply_json ?id:(Lazy.force orig) rep)
 
 let pipeline ?on_latency t lines =
   let items, ids = List.split (List.map item_of_line lines) in
   let ids = Array.of_list ids in
-  run_locked ?on_latency t (Array.of_list items) (fun i r ->
-      Result.map (response_line ids.(i)) r)
+  run_locked ?on_latency ~span:t.m.pipeline_span t (Array.of_list items)
+    (fun i r -> Result.map (response_line ids.(i)) r)
 
 let query_many ?on_latency t qs =
   let items =
     List.map (fun q -> item_of_query ~jline:(lazy (Query.to_json q)) q) qs
   in
-  run_locked ?on_latency t (Array.of_list items) (fun _ r ->
+  run_locked ?on_latency ~span:t.m.pipeline_span t (Array.of_list items)
+    (fun _ r ->
       match r with
       | Error e -> Error e
       | Ok (Rbin rep) -> Ok rep
@@ -791,52 +746,16 @@ let eval_many ?on_latency t specs =
   query_many ?on_latency t
     (List.map (fun (want, target) -> { Query.want; target; mode = Auto }) specs)
 
-(* the classic single-shot path, unchanged from v1 for plain clients *)
-let attempt_once t line =
-  let deadline = Obs.monotonic () +. t.timeout_s in
-  let c = ensure_connected t deadline in
-  send_all c.fd
-    (Frame.encode ~max_frame:t.max_frame (with_span_parent line))
-    deadline;
-  recv_one c deadline
+(* one item, one drive, under its own request span *)
+let request_item t (it, orig) =
+  List.hd
+    (run_locked ~span:t.m.span_name t [| it |] (fun _ r ->
+         Result.map (response_line orig) r))
 
-let plain_request t line =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  Obs.incr t.m.requests;
-  Obs.with_span t.m.span_name (fun sp ->
-      Obs.time t.m.request_s (fun () ->
-          let rec go n =
-            match attempt_once t line with
-            | response ->
-                Obs.set_attr sp "attempts" (Jsonl.int (n + 1));
-                Ok response
-            | exception Err e ->
-                disconnect t;
-                if e = Timeout then Obs.incr t.m.timeouts;
-                if is_retryable e && n < t.max_retries then begin
-                  Obs.incr t.m.retries;
-                  Thread.delay (backoff_delay t n);
-                  go (n + 1)
-                end
-                else begin
-                  Obs.incr t.m.errors;
-                  Obs.set_attr sp "attempts" (Jsonl.int (n + 1));
-                  Obs.set_attr sp "error" (Jsonl.Str (error_message e));
-                  Error e
-                end
-            | exception e ->
-                disconnect t;
-                Obs.incr t.m.errors;
-                Error (Connection (Printexc.to_string e))
-          in
-          go 0))
-
-let request t line =
-  if negotiates t then List.hd (pipeline t [ line ]) else plain_request t line
+let request t line = request_item t (item_of_line line)
 
 let forward t line =
-  if negotiates t then
-    List.hd
-      (run_locked t [| barrier_item line |] (fun _ r -> Result.map (response_line None) r))
-  else plain_request t line
+  request_item t
+    ( { jline = Lazy.from_val line; query = Lazy.from_val None;
+        bin = Lazy.from_val None; attempts = 0 },
+      Lazy.from_val None )

@@ -1,9 +1,9 @@
 (** A resilient client for the framed serve protocol, with optional
     request pipelining and the compact binary codec (wire protocol v2).
 
-    {!request} keeps the classic contract: one frame out, one frame
-    back, over a connection that is (re)established on demand, with
-    failures classified:
+    Every entry point runs its requests through one driver.  A request
+    goes out over a connection that is (re)established on demand, and
+    its failures are classified:
 
     - {b retryable} — connect refused/unreachable, request timeout, the
       connection dying mid-frame (torn frame), and the peer resetting
@@ -21,18 +21,20 @@
     {b Pipelining.}  A client created with [pipeline_depth > 1] or
     [codec `Binary] negotiates protocol v2 on each fresh connection
     (one [hello] frame; an old server answers with an error and the
-    client quietly falls back to sequential v1 — negotiated, never
-    assumed).  {!pipeline} then keeps up to [pipeline_depth] requests
-    in flight per connection, keying the window on transport request
-    ids it injects into each outgoing request and strips from each
-    response, so callers see exactly the bytes a v1 exchange would
-    have produced.  Hot queries (anything {!Psph_engine.Query.of_json}
-    accepts) are windowed — and, when the server granted the binary
-    codec, translated through {!Codec} so neither side touches JSON;
-    a query the codec cannot carry (a non-[auto] solver mode, an
-    out-of-range field) stays windowed as escape-tagged JSON.  Other
-    ops act as barriers (the window drains, they fly alone) because
-    their responses carry no id to match on.
+    connection falls back to v1 — negotiated, never assumed).  The
+    driver then keeps up to [pipeline_depth] requests in flight per
+    connection, keying the window on transport request ids it injects
+    into each outgoing request and strips from each response, so
+    callers see exactly the bytes a v1 exchange would have produced.
+    Hot queries (anything {!Psph_engine.Query.of_json} accepts) are
+    windowed — and, when the server granted the binary codec,
+    translated through {!Codec} so neither side touches JSON; a query
+    the codec cannot carry (a non-[auto] solver mode, an out-of-range
+    field) stays windowed as escape-tagged JSON.  Other ops act as
+    barriers (the window drains, they fly alone) because their
+    responses carry no id to match on.  A v1 connection is the same
+    driver with an empty window: every request is a barrier, sent
+    verbatim, matched by position.
 
     A timed-out pipelined request no longer tears down the connection:
     its id is remembered, the late response is dropped when it arrives
@@ -45,20 +47,20 @@
     a 1024-entry cap evicts oldest-first, so a server that times out
     forever cannot grow client memory without bound.  Eviction is safe
     because barrier matching never trusts the set: transport ids live
-    at [0x40000000] and above, and a barrier only accepts a response
-    whose id is below that range (or that has none) — a caller who
-    picks an id of [0x40000000]+ for a barrier op forfeits that
-    response (dropped as stale, the request times out).
+    at [0x40000000] and above, and a barrier on a v2 connection only
+    accepts a response whose id is below that range (or that has none)
+    — a caller who picks an id of [0x40000000]+ for a barrier op there
+    forfeits that response (dropped as stale, the request times out).
 
     Observability ([net.client.*]): request/error/retry/reconnect/
     timeout/pipelined/stale_response counters and a latency histogram;
-    {!request} (un-negotiated) runs in a [net.client.request] span
-    whose id is injected into the outgoing JSON as ["span_parent"] —
-    the bridge that makes loopback traces nest across the socket
-    (injection only happens while a trace sink is live, so production
-    requests go out byte-untouched).  {!pipeline} runs in a single
-    [net.client.pipeline] span; pipelined requests skip span-parent
-    injection. *)
+    {!request} and {!forward} run in a [net.client.request] span, and
+    on a v1 connection its id is injected into the outgoing JSON as
+    ["span_parent"] — the bridge that makes loopback traces nest across
+    the socket (injection only happens while a trace sink is live, so
+    production requests go out byte-untouched).  {!pipeline} and
+    {!query_many} run in a single [net.client.pipeline] span; requests
+    on a v2 connection skip span-parent injection. *)
 
 type error =
   | Timeout
@@ -98,10 +100,10 @@ val pending_stale : t -> int
     above; exposed for tests and monitoring. *)
 
 val request : t -> string -> (string, error) result
-(** Send one line, wait for the response line.  Serialized per client
-    (one caller at a time).  On a v2-negotiating client this is
-    [pipeline t [line]]; responses are byte-identical either way.  The
-    returned error is the last attempt's. *)
+(** Send one line, wait for the response line: the driver run over one
+    request, under its own [net.client.request] span.  Serialized per
+    client (one caller at a time).  The returned error is the last
+    attempt's. *)
 
 val pipeline :
   ?on_latency:(int -> float -> unit) ->
@@ -136,8 +138,8 @@ val eval_many :
 
 val forward : t -> string -> (string, error) result
 (** {!request} for a line the caller already knows is not a hot query:
-    sent as-is, alone on the connection, without being parsed.  The
-    router's path for the ops it does not route by key. *)
+    one barrier, sent as-is, alone on the connection, without being
+    parsed.  The router's path for the ops it does not route by key. *)
 
 val close : t -> unit
 (** Drop the connection, if any.  The client stays usable: the next

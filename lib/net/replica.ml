@@ -112,19 +112,13 @@ let rebalanced t n = if n > 0 then Obs.incr ~by:n t.m.rebalanced
 (* wire translations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* connectivity is determined by the Betti vector (mirror of
-   Engine.answer_of_ranks: reduced ranks are the Betti numbers except
-   beta_0 - 1): derive it when the response didn't carry one *)
+(* connectivity is determined by the Betti vector (the reduced numbers
+   are the Betti numbers except beta_0 - 1): derive it when the response
+   didn't carry one *)
 let connectivity_of_betti betti =
-  let dim = Array.length betti - 1 in
-  if dim < 0 then -2
-  else begin
-    let reduced d = if d = 0 then betti.(0) - 1 else betti.(d) in
-    let rec conn k =
-      if k > dim then dim else if reduced k <> 0 then k - 1 else conn (k + 1)
-    in
-    conn 0
-  end
+  let reduced = Array.copy betti in
+  if Array.length reduced > 0 then reduced.(0) <- reduced.(0) - 1;
+  Psph_topology.Homology.connectivity_of_reduced reduced
 
 let entry_of_reply = function
   | Query.Result { key; betti = Some betti; connectivity; _ } ->

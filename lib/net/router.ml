@@ -56,7 +56,6 @@ type t = {
   state_lock : Mutex.t;
   cfg : cfg;
   replication : int;
-  read_fallback : bool;
   rep : Replica.t;
   rr : int Atomic.t;  (** rotation for keyless requests *)
   check_period_s : float;
@@ -80,7 +79,7 @@ let mk_backend cfg baddr =
   }
 
 let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
-    ?(read_fallback = false) ?(timeout_ms = 5000) ?(retries = 1)
+    ?(timeout_ms = 5000) ?(retries = 1)
     ?(check_period_ms = 1000) ?(max_frame = Frame.max_frame_default)
     ?(codec = `Json) ?(pipeline_depth = 16) addrs =
   if addrs = [] then invalid_arg "Router.create: no backends";
@@ -110,7 +109,6 @@ let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
     state_lock = Mutex.create ();
     cfg;
     replication = max 1 replication;
-    read_fallback;
     rep = Replica.create ~metrics:(metrics ^ ".replica") ();
     rr = Atomic.make 0;
     check_period_s = float_of_int check_period_ms /. 1000.;
@@ -189,15 +187,6 @@ let degraded t ~id =
   in
   error_response ~extra ~id "no backend"
 
-(* rank of backend [i] in the preference order: 0 = primary, 1..R-1 =
-   replicas, beyond = off the owner set *)
-let rank prefs i =
-  let rec go k = function
-    | [] -> max_int
-    | x :: tl -> if x = i then k else go (k + 1) tl
-  in
-  go 0 prefs
-
 (* a miss answered by one owner is pushed to the others, so hot keys
    converge to R warm copies without any replica recomputing *)
 let populate_hint t st prefs served reply =
@@ -220,29 +209,30 @@ let populate_hint t st prefs served reply =
             owners)
   | _ -> ()
 
-(* walk [prefs] live backends first — each dead one still gets a
-   last-resort try (it may have revived since the prober last looked) —
-   until one answers [send]; [answered] renders that answer *)
-let walk t st sp ~id prefs send answered =
-  let live, dead = List.partition (fun i -> st.bks.(i).alive) prefs in
+(* keyless forwarding: walk a rotation of the backends, live ones first
+   — each dead one still gets a last-resort try (it may have revived
+   since the prober last looked) — until one answers *)
+let route_line t sp ~id line =
+  let st = t.state in
+  let live, dead = List.partition (fun i -> st.bks.(i).alive) (order t st None) in
   let rec go first = function
     | [] ->
         Obs.incr t.m.no_backend;
         Obs.set_attr sp "degraded" (Jsonl.Bool true);
         degraded t ~id
     | i :: rest -> (
-        match send st.bks.(i).client with
-        | Ok v ->
+        match Client.forward st.bks.(i).client line with
+        | Ok resp ->
             mark t st i true;
             Obs.incr t.m.forwarded;
             Obs.set_attr sp "backend"
               (Jsonl.Str (Addr.to_string st.bks.(i).baddr));
-            answered i v
+            resp
         | Error e when Client.is_retryable e ->
             (* transport failure: the backend (not the request)
                is the problem — mark it down and fail over *)
             mark t st i false;
-            if not first then Obs.incr t.m.failover;
+            if first then Obs.incr t.m.failover;
             go false rest
         | Error e ->
             (* fatal Protocol errors are request-specific (e.g.
@@ -255,37 +245,17 @@ let walk t st sp ~id prefs send answered =
   in
   go true (live @ dead)
 
-(* a hot query rides its shard key's owners; the reply comes back typed,
-   so hints and fallback accounting read it without another parse *)
-let route_query t sp ~id q =
-  let st = t.state in
-  let prefs = Ring.order st.ring (Query.shard_key q) in
-  walk t st sp ~id prefs
-    (fun c -> List.hd (Client.query_many c [ q ]))
-    (fun i reply ->
-      let r = rank prefs i in
-      if t.read_fallback && r > 0 && r < owners_count t st then begin
-        Replica.fallback_read t.rep
-          ~cached:(match reply with Query.Result { cached; _ } -> cached | _ -> false);
-        Obs.set_attr sp "fallback" (Jsonl.Bool true)
-      end;
-      populate_hint t st prefs i reply;
-      Jsonl.to_string (Query.reply_json ?id reply))
-
-(* anything else is forwarded verbatim, round-robin *)
-let route_line t sp ~id line =
-  let st = t.state in
-  walk t st sp ~id (order t st None) (fun c -> Client.forward c line) (fun _ resp -> resp)
-
 (* ------------------------------------------------------------------ *)
-(* batch fan-out                                                       *)
+(* hot queries: one member or a fanned batch                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch of hot queries fans out: members group by their preferred
-   backend (so each still lands on the cache that is warm for it) and
-   each group flies down that backend's pipelined connection, groups in
-   parallel.  A member's reply renders exactly as its slot in a backend
-   batch response would, so splicing the group results back together in
+(* Hot queries route as members: a single query is a batch of one.
+   Members group by their preferred backend (so each still lands on the
+   cache that is warm for it) and each group flies down that backend's
+   pipelined connection, groups in parallel.  Replies come back typed, so
+   hints and fallback accounting read them without another parse, and a
+   member's reply renders exactly as its slot in a backend batch
+   response would — splicing the rendered members back together in
    request order reproduces the bytes a single backend would have sent.
    Batches with any other member keep the whole-batch path. *)
 
@@ -305,87 +275,104 @@ let fanout_members req =
       else None)
   | _ -> None
 
-let route_batch t sp members =
+(* every member's rendered answer, in order *)
+let route_members t sp members =
   let st = t.state in
-  Obs.incr t.m.fanout;
   let n = Array.length members in
-  Obs.set_attr sp "fanout" (Jsonl.int n);
   let responses = Array.make n None in
   let all_prefs =
     Array.map (fun (_, q) -> Ring.order st.ring (Query.shard_key q)) members
   in
-  let prefs = Array.map (fun p -> ref p) all_prefs in
+  let prefs = Array.copy all_prefs in
+  let failed_over = Array.make n false in
   let member_id i = fst members.(i) in
+  let answer b i = function
+    | Ok reply ->
+        mark t st b true;
+        Obs.incr t.m.forwarded;
+        Obs.set_attr sp "backend" (Jsonl.Str (Addr.to_string st.bks.(b).baddr));
+        (* b's rank in the preference order: 0 = primary, 1..R-1 =
+           replicas, beyond = off the owner set *)
+        let r = Option.get (List.find_index (( = ) b) all_prefs.(i)) in
+        if r > 0 && r < owners_count t st then begin
+          Replica.fallback_read t.rep
+            ~cached:(match reply with Query.Result { cached; _ } -> cached | _ -> false);
+          Obs.set_attr sp "fallback" (Jsonl.Bool true)
+        end;
+        populate_hint t st all_prefs.(i) b reply;
+        responses.(i) <-
+          Some (Jsonl.to_string (Query.reply_json ?id:(member_id i) reply))
+    | Error e when Client.is_retryable e ->
+        (* transport failure: the backend (not the request) is the
+           problem — mark it down; the member stays unresolved and the
+           next round walks its remaining preference *)
+        mark t st b false;
+        if not failed_over.(i) then begin
+          failed_over.(i) <- true;
+          Obs.incr t.m.failover
+        end
+    | Error e ->
+        (* fatal Protocol errors are request-specific: answer with the
+           error instead of walking the ring marking healthy backends
+           dead *)
+        Obs.set_attr sp "error" (Jsonl.Str (Client.error_message e));
+        responses.(i) <-
+          Some (error_response ~id:(member_id i) (Client.error_message e))
+  in
   (* rounds: every unresolved member tries its best untried backend
      (live first, dead as a last resort), one pipelined flight per
      backend, flights in parallel.  Preferences only shrink, so the
      loop terminates in degraded answers at worst. *)
   let rec round () =
     let groups = Hashtbl.create 8 in
-    let progress = ref false in
     for i = n - 1 downto 0 do
       if responses.(i) = None then begin
-        let remaining = !(prefs.(i)) in
-        let choice =
-          match List.find_opt (fun b -> st.bks.(b).alive) remaining with
-          | Some b -> Some b
-          | None -> ( match remaining with b :: _ -> Some b | [] -> None)
-        in
-        match choice with
-        | None ->
-            Obs.incr t.m.no_backend;
-            responses.(i) <- Some (degraded t ~id:(member_id i))
-        | Some b ->
-            prefs.(i) := List.filter (fun x -> x <> b) remaining;
-            progress := true;
+        let remaining = prefs.(i) in
+        match (List.find_opt (fun b -> st.bks.(b).alive) remaining, remaining) with
+        | Some b, _ | None, b :: _ ->
+            prefs.(i) <- List.filter (fun x -> x <> b) remaining;
             Hashtbl.replace groups b
               (i :: (try Hashtbl.find groups b with Not_found -> []))
+        | None, [] ->
+            Obs.incr t.m.no_backend;
+            Obs.set_attr sp "degraded" (Jsonl.Bool true);
+            responses.(i) <- Some (degraded t ~id:(member_id i))
       end
     done;
-    if !progress then begin
-      let run (b, idxs) =
-        let rs =
+    if Hashtbl.length groups > 0 then begin
+      let fly (b, idxs) =
+        ( b,
+          idxs,
           Client.query_many st.bks.(b).client
-            (List.map (fun i -> snd members.(i)) idxs)
-        in
-        List.iter2
-          (fun i r ->
-            match r with
-            | Ok reply ->
-                mark t st b true;
-                Obs.incr t.m.forwarded;
-                populate_hint t st all_prefs.(i) b reply;
-                responses.(i) <-
-                  Some (Jsonl.to_string (Query.reply_json ?id:(member_id i) reply))
-            | Error e when Client.is_retryable e ->
-                (* stays unresolved: the next round walks the member's
-                   remaining preference *)
-                mark t st b false;
-                Obs.incr t.m.failover
-            | Error e ->
-                responses.(i) <-
-                  Some (error_response ~id:(member_id i) (Client.error_message e)))
-          idxs rs
+            (List.map (fun i -> snd members.(i)) idxs) )
       in
-      (match Hashtbl.fold (fun b idxs acc -> (b, idxs) :: acc) groups [] with
-      | [ one ] -> run one
-      | work ->
-          let threads = List.map (fun w -> Thread.create run w) work in
-          List.iter Thread.join threads);
+      (* only the flights run on threads; their replies are accounted
+         here, on the routing thread *)
+      let landed =
+        match Hashtbl.fold (fun b idxs acc -> (b, idxs) :: acc) groups [] with
+        | [ one ] -> [ fly one ]
+        | flights ->
+            List.map
+              (fun f ->
+                let r = ref None in
+                (r, Thread.create (fun () -> r := Some (fly f)) ()))
+              flights
+            |> List.filter_map (fun (r, th) ->
+                   Thread.join th;
+                   !r)
+      in
+      List.iter (fun (b, idxs, rs) -> List.iter2 (answer b) idxs rs) landed;
       round ()
     end
   in
   round ();
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf {|{"ok":true,"results":[|};
-  Array.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (match r with Some r -> r | None -> degraded t ~id:(member_id i)))
-    responses;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Array.map Option.get responses
+
+let route_batch t sp members =
+  Obs.incr t.m.fanout;
+  Obs.set_attr sp "fanout" (Jsonl.int (Array.length members));
+  let results = Array.to_list (route_members t sp members) in
+  {|{"ok":true,"results":[|} ^ String.concat "," results ^ "]}"
 
 (* ------------------------------------------------------------------ *)
 (* membership: join + rebalance                                        *)
@@ -571,7 +558,7 @@ let route t line =
                   | None -> route_line t sp ~id line)
               | _ -> (
                   match Query.of_json req with
-                  | Ok q -> route_query t sp ~id q
+                  | Ok q -> (route_members t sp [| (id, q) |]).(0)
                   | Error _ -> route_line t sp ~id line))))
 
 (* ------------------------------------------------------------------ *)

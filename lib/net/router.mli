@@ -4,13 +4,15 @@
 
     The router is itself a serve-protocol peer: put {!route} behind a
     {!Server} and clients talk to it exactly as they would to a single
-    backend.  A request line is parsed once; a hot query
-    ({!Psph_engine.Query.t}) is forwarded as that typed value to a
-    backend chosen by consistent hashing ({!Ring}) on its {b shard key}
+    backend.  A request line is parsed once.  Hot queries
+    ({!Psph_engine.Query.t}) route as {e members}: a single query is a
+    batch of one, and an all-hot [batch] fans out member by member.
+    Each member is forwarded as a typed value to a backend chosen by
+    consistent hashing ({!Ring}) on its {b shard key}
     ({!Psph_engine.Query.shard_key}: a facet query's content address, a
     model or psph spec's normalized encoding — whatever op spells it),
     and its reply comes back typed and is rendered once.  Everything
-    else ([batch], [stats], ...) has no affinity and is forwarded
+    else ([stats], mixed batches, ...) has no affinity and is forwarded
     verbatim, round-robin over live backends.
 
     {b Replication.}  With [replication = R > 1] a key's {e owner set}
@@ -19,8 +21,9 @@
     [populate] hint carrying the finished answer, so hot keys converge
     to R warm copies; a dead primary's reads fail over — in ring
     order, which is exactly owner order — onto those warm replicas.
-    With [read_fallback] such replica-served reads are counted
-    ([net.replica.fallback_read]/[fallback_hit]).
+    Every member served by a non-primary owner is counted
+    ([net.replica.fallback_read], and [fallback_hit] when it was a
+    cache hit).
 
     {b Membership.}  The ring, backend array and an {e epoch} form one
     immutable snapshot; every request captures the snapshot once and
@@ -32,11 +35,12 @@
     as populate batches.  [{"op":"cluster"}] reports epoch, replication
     factor and per-backend liveness.
 
-    {b Error contract.}  A request tries backends in ring order, live
-    ones first: a retryable failure marks the backend dead and fails
-    over to the next; a fatal protocol error is request-specific, so it
-    is answered as [{"ok":false,"error":...}] without touching backend
-    health; when nothing answers, the router degrades to
+    {b Error contract.}  A request (or member) tries backends in ring
+    order, live ones first: a retryable failure marks the backend dead
+    and fails over to the next, counted once per request or member in
+    [net.router.failover]; a fatal protocol error is request-specific,
+    so it is answered as [{"ok":false,"error":...}] without touching
+    backend health; when nothing answers, the router degrades to
     [{"ok":false,"error":"no backend"}] (id echoed) — and while the
     health prober is running the degraded answer carries
     ["retry_after_ms"] (the probe period), because the outage is then a
@@ -56,7 +60,6 @@ val create :
   ?metrics:string ->
   ?vnodes:int ->
   ?replication:int ->
-  ?read_fallback:bool ->
   ?timeout_ms:int ->
   ?retries:int ->
   ?check_period_ms:int ->
@@ -68,9 +71,7 @@ val create :
 (** No I/O; backends are assumed alive until a probe or request says
     otherwise.  [vnodes] (default 64) virtual points per backend on the
     ring; [replication] (default 1, clamped to the backend count per
-    request) replicas per key; [read_fallback] (default false) counts
-    replica-served reads in the [net.replica.*] family;
-    [timeout_ms]/[retries] configure the per-backend clients (retries
+    request) replicas per key; [timeout_ms]/[retries] configure the per-backend clients (retries
     default 1 — the ring-level failover is the real retry);
     [check_period_ms] (default 1000) spaces health probes.  [codec]
     (default [`Json]) and [pipeline_depth] (default 16) configure the

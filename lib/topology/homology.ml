@@ -216,17 +216,24 @@ let is_k_connected c k =
     !ok
   end
 
+let connectivity_of_reduced ?cap b =
+  let top = Array.length b - 1 in
+  match cap with
+  | None when top < 0 -> -2
+  | _ ->
+      let cap = Option.value cap ~default:top in
+      let rec loop k =
+        if k > cap then cap
+        else if k <= top && b.(k) <> 0 then k - 1
+        else loop (k + 1)
+      in
+      loop 0
+
 let connectivity ?cap c =
   if Complex.is_empty c then -2
   else begin
     let cap = match cap with None -> Complex.dim c | Some k -> k in
-    let b = reduced_betti ~max_dim:cap c in
-    let rec loop k =
-      if k > cap then cap
-      else if k <= Array.length b - 1 && b.(k) <> 0 then k - 1
-      else loop (k + 1)
-    in
-    loop 0
+    connectivity_of_reduced ~cap (reduced_betti ~max_dim:cap c)
   end
 
 let euler_from_betti c =

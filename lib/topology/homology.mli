@@ -43,6 +43,14 @@ val connectivity : ?cap:int -> Complex.t -> int
     dimension); a complex whose reduced homology vanishes through its
     dimension is reported with connectivity [cap]. *)
 
+val connectivity_of_reduced : ?cap:int -> int array -> int
+(** {!connectivity} read off a reduced Betti vector [b~_0 .. b~_top]
+    (as {!reduced_betti} returns it): the largest [k <= cap] with
+    [b~_0 .. b~_k] all zero, where [cap] defaults to [top] and entries
+    past [top] count as zero.  [[||]] without a [cap] is the empty
+    complex, [-2].  The one definition every caller holding Betti
+    numbers instead of a complex uses. *)
+
 val is_k_connected : Complex.t -> int -> bool
 (** [is_k_connected c k]: homologically [k]-connected in the paper's sense —
     [k <= -2] always holds, [k = -1] means nonempty, and [k >= 0] means

@@ -405,6 +405,21 @@ let engine_unit_tests =
         E.shutdown e;
         if grown >= 1 lsl 20 then
           Alcotest.failf "live heap grew by %d bytes over 20k complexes" grown);
+    (* every [values = 0] pseudosphere is the empty complex: 200 specs,
+       one content slot, so only the spec memo's own bound can evict *)
+    Alcotest.test_case "spec memo is bounded by the cache capacity" `Quick
+      (fun () ->
+        let e = E.create ~domains:0 ~capacity:8 () in
+        Fun.protect ~finally:(fun () -> E.shutdown e) @@ fun () ->
+        let evictions () =
+          Obs.counter_value (Obs.counter "engine.spec_memo.evictions")
+        in
+        let before = evictions () in
+        for n = 0 to 199 do
+          ignore (E.eval e (E.Psph { n; values = 0 }))
+        done;
+        Alcotest.(check bool) "at least 192 spec bindings evicted" true
+          (evictions () - before >= 192));
     Alcotest.test_case "stats counters move" `Quick (fun () ->
         let s = E.stats (Lazy.force engine) in
         Alcotest.(check bool) "queries > 0" true (s.E.queries > 0);

@@ -1347,8 +1347,8 @@ let cluster_tests =
         with_server (Serve.handle_line e1) @@ fun srv1 a1 ->
         with_server (Serve.handle_line e2) @@ fun srv2 a2 ->
         let r =
-          Router.create ~metrics:"t.rep" ~replication:2 ~read_fallback:true
-            ~timeout_ms:2000 ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
+          Router.create ~metrics:"t.rep" ~replication:2 ~timeout_ms:2000
+            ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
         in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
         let line = {|{"op":"betti","facets":["0:i0 ; 1:i1"],"id":6}|} in
@@ -1367,7 +1367,20 @@ let cluster_tests =
         check bool "fallback_read counted" true
           (Obs.counter_value (Obs.counter "t.rep.replica.fallback_read") >= 1);
         check bool "fallback_hit counted" true
-          (Obs.counter_value (Obs.counter "t.rep.replica.fallback_hit") >= 1));
+          (Obs.counter_value (Obs.counter "t.rep.replica.fallback_hit") >= 1);
+        check int "one failover for one request" 1
+          (Obs.counter_value (Obs.counter "t.rep.failover"));
+        (* batch members served by the replica count as fallback reads too *)
+        let reads () =
+          Obs.counter_value (Obs.counter "t.rep.replica.fallback_read")
+        in
+        let before = reads () in
+        let batch =
+          {|{"op":"batch","requests":[{"op":"betti","facets":["0:i0 ; 1:i1"],"id":7},{"op":"betti","facets":["0:i0 ; 1:i1"],"id":8}]}|}
+        in
+        check_contains "batch answered by the replica" (Router.route r batch)
+          {|"cached":true|};
+        check int "each replica-served member counted" (before + 2) (reads ()));
     Alcotest.test_case "join: epoch bumps and only the new range migrates"
       `Quick
       (fun () ->
