@@ -597,10 +597,10 @@ let net_bench () =
   let module Serve = Psph_engine.Serve in
   let open Psph_net in
   let engine = E.create ~domains:0 ~capacity:64 () in
-  let handler = Serve.handle_line engine in
+  let handler = Serve.respond engine in
   match
     Server.listen ~handler
-      ~bin_handler:(Codec.handle ~json:handler engine)
+      ~bin_handler:(Codec.respond ~json:handler engine)
       { Addr.host = "127.0.0.1"; port = 0 }
   with
   | Error m ->
@@ -748,10 +748,10 @@ let cluster_bench () =
   in
   let with_engine_server f =
     let engine = E.create ~domains:0 ~capacity:4096 () in
-    let handler = Serve.handle_line engine in
+    let handler = Serve.respond engine in
     match
       Server.listen ~handler
-        ~bin_handler:(Codec.handle ~json:handler engine)
+        ~bin_handler:(Codec.respond ~json:handler engine)
         { Addr.host = "127.0.0.1"; port = 0 }
     with
     | Error m ->

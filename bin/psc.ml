@@ -543,11 +543,11 @@ let serve_cmd =
           let deadline_s =
             Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms
           in
-          let handler = Psph_engine.Serve.handle_line engine in
+          let handler = Psph_engine.Serve.respond engine in
           match
             Psph_net.Server.listen ~max_conns ?deadline_s
               ~reactor_threads:(max 1 reactor_threads)
-              ~bin_handler:(Psph_net.Codec.handle ~json:handler engine)
+              ~bin_handler:(Psph_net.Codec.respond ~json:handler engine)
               ?dispatch:
                 (if domains > 0 then Some (Psph_engine.Engine.dispatch engine)
                  else None)
@@ -783,7 +783,7 @@ let route_cmd =
         Psph_net.Server.listen ~max_conns
           ~reactor_threads:(max 1 reactor_threads)
           ~dispatch:(threaded_dispatch ())
-          ~handler:(Psph_net.Router.route router)
+          ~handler:(Psph_net.Server.deferred (Psph_net.Router.route router))
           listen
       with
       | Error m ->

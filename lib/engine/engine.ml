@@ -255,8 +255,13 @@ let cache_probe t spec =
       Mutex.unlock t.lock;
       fast
 
-let eval_numeric t spec =
-  match cache_probe t spec with
+(* [probed] is the outcome of this query's probe when [lookup] already
+   made it on the reactor loop, so a deferred miss is not counted twice *)
+let probe_once ?probed t spec =
+  match probed with Some p -> p | None -> cache_probe t spec
+
+let eval_numeric ?probed t spec =
+  match probe_once ?probed t spec with
   | Some r -> r
   | None -> eval_uncached t (spec_key_of spec) spec
 
@@ -321,20 +326,28 @@ let with_query_span f =
       end;
       r)
 
-let eval ?(mode = Auto) t spec =
+(* the non-blocking front half of [eval]/[eval_conn]: the probe both
+   begin with under Auto/Numeric_only.  Check and Symbolic_only never
+   start with one, so there is nothing to look up for them here. *)
+let lookup ?(mode = Auto) t spec =
+  match mode with
+  | Auto | Numeric_only -> cache_probe t spec
+  | Check | Symbolic_only -> None
+
+let eval ?(mode = Auto) ?probed t spec =
   with_query_span (fun () ->
       match mode with
-      | Auto | Numeric_only -> eval_numeric t spec
+      | Auto | Numeric_only -> eval_numeric ?probed t spec
       | Check -> check_against_symbolic spec (eval_numeric t spec)
       | Symbolic_only ->
           invalid_arg
             "Engine: Betti numbers require the numeric tier; --solver \
              symbolic answers connectivity queries only")
 
-let eval_conn ?(mode = Auto) t spec =
+let eval_conn ?(mode = Auto) ?probed t spec =
   with_query_span (fun () ->
       match mode with
-      | Numeric_only -> eval_numeric t spec
+      | Numeric_only -> eval_numeric ?probed t spec
       | Check -> check_against_symbolic spec (eval_numeric t spec)
       | Symbolic_only -> (
           match symbolic_of_spec spec with
@@ -346,7 +359,7 @@ let eval_conn ?(mode = Auto) t spec =
       | Auto -> (
           (* a warm numeric slot is exact and free; prefer it, then the
              O(formula) symbolic tier, then numeric elimination *)
-          match cache_probe t spec with
+          match probe_once ?probed t spec with
           | Some r -> r
           | None -> (
               match symbolic_of_spec spec with
@@ -356,6 +369,8 @@ let eval_conn ?(mode = Auto) t spec =
 let eval_batch t specs =
   if Pool.size t.pool = 0 then List.map (eval t) specs
   else Pool.run_all t.pool (List.map (fun spec () -> eval t spec) specs)
+
+let domains t = Pool.size t.pool
 
 let run_all t thunks =
   if Pool.size t.pool = 0 then List.map (fun f -> f ()) thunks

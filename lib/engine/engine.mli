@@ -94,13 +94,26 @@ val build : spec -> Complex.t
     @raise Invalid_argument on invalid parameters or an unknown model
     name (the message lists the registered models). *)
 
-val eval : ?mode:mode -> t -> spec -> result
+val lookup : ?mode:mode -> t -> spec -> result option
+(** The non-blocking front half of {!eval} and {!eval_conn}: under
+    [Auto] and [Numeric_only], the probe both begin with (spec memo,
+    then content slot — no building, no elimination).  [None] is a miss,
+    or a mode ([Check], [Symbolic_only]) or spec ([Explicit]) that has
+    no probe.  Counts only its cache lookups; the query itself is
+    counted when the outcome is handed to [eval]/[eval_conn] as
+    [~probed]. *)
+
+val eval : ?mode:mode -> ?probed:result option -> t -> spec -> result
 (** Betti numbers need the numeric tier, so [mode] (default [Auto]) only
     distinguishes [Check] (cross-check connectivity against the symbolic
     bound; raises [Failure] on violation) here; [Symbolic_only] raises
-    [Invalid_argument]. *)
+    [Invalid_argument].  [probed] is {!lookup}'s outcome for the same
+    mode and spec: [Some r] answers with [r], [None] continues past the
+    probe without repeating it, so the engine and cache counters read
+    exactly as for one undivided [eval]. *)
 
-val eval_conn : ?mode:mode -> t -> spec -> result
+val eval_conn :
+  ?mode:mode -> ?probed:result option -> t -> spec -> result
 (** Answer a connectivity query through the tiered solver.  Under [Auto] a
     recognized spec (psph, or a registered model) whose symbolic
     derivation applies is answered in O(formula) without realizing the
@@ -110,13 +123,16 @@ val eval_conn : ?mode:mode -> t -> spec -> result
     are never cached (they cost nothing to rederive); numeric answers
     share the ordinary content-addressed slots, so the cache stays
     tier-irrelevant.  [Symbolic_only] raises [Failure] when no derivation
-    applies. *)
+    applies.  [probed] as for {!eval}. *)
 
 val eval_batch : t -> spec list -> result list
 (** Evaluate independent queries of a batch in parallel on the pool,
     preserving order.  Duplicate specs within a batch may race to compute
     the same key; both arrive at the same answer and the cache coalesces
     them. *)
+
+val domains : t -> int
+(** The number of worker domains in the pool ([0] when sequential). *)
 
 val run_all : t -> (unit -> 'a) list -> 'a list
 (** Run independent thunks in parallel on the pool (inline when
@@ -132,8 +148,12 @@ val provenance_fields : provenance -> (string * Psph_obs.Jsonl.t) list
 val dispatch : t -> (unit -> unit) -> unit
 (** Run [f] on the engine's worker pool without awaiting it — inline
     when the engine is sequential ([domains = 0]) or the pool is already
-    shut down.  The network server uses this to keep its event loops
-    free of CPU-bound handler work; [f] must handle its own errors. *)
+    shut down.  The network server hands it only the deferred back half
+    of a request ({!Serve.step}'s [Later]: a miss to build and
+    eliminate, a batch, a snapshot); under at most one worker domain,
+    warm hits are answered on the event loop and never reach the pool.
+    With two or more, every request does ({!Serve.front}), so hits
+    spread across the domains.  [f] must handle its own errors. *)
 
 val warm : t -> (Key.t * Store.entry) list -> int
 (** Insert finished answers straight into the memo cache (the wire-side

@@ -225,12 +225,20 @@ type reply =
     }
   | Failed of { id : int; message : string }
 
-let answer ?(id = 0) engine q =
+(* facets are never looked up: their spec is a complex built from the
+   request, work that grows with it, and an [Explicit] spec has no probe *)
+let lookup engine q =
+  match q.target with
+  | Facets _ -> None
+  | Psph _ | Model _ -> (
+      try Engine.lookup ~mode:q.mode engine (spec q) with _ -> None)
+
+let answer ?(id = 0) ?probed engine q =
   match
     let spec = spec q in
     match q.want with
-    | Connectivity -> Engine.eval_conn ~mode:q.mode engine spec
-    | Both | Betti -> Engine.eval ~mode:q.mode engine spec
+    | Connectivity -> Engine.eval_conn ~mode:q.mode ?probed engine spec
+    | Both | Betti -> Engine.eval ~mode:q.mode ?probed engine spec
   with
   | r ->
       Result

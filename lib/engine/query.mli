@@ -75,12 +75,20 @@ type reply =
     }
   | Failed of { id : int; message : string }
 
-val answer : ?id:int -> Engine.t -> t -> reply
+val lookup : Engine.t -> t -> Engine.result option
+(** The fast path: {!Engine.lookup} of the query's spec under its mode
+    — [Some] when a warm cache slot answers it.  [None] at once, without
+    building anything, for a [Facets] target.  Bounded work, safe on an
+    event loop; never raises. *)
+
+val answer : ?id:int -> ?probed:Engine.result option -> Engine.t -> t -> reply
 (** Evaluate a query: [Connectivity] through the tiered
     {!Engine.eval_conn}, the Betti-bearing wants through {!Engine.eval},
-    both under the query's mode.  Never raises: invalid parameters, a
-    failed solver check or an unexpected exception come back as
-    [Failed] with the message [Serve] has always answered. *)
+    both under the query's mode.  [probed] is {!lookup}'s outcome when
+    it was already taken: a hit is answered from it, a miss continues
+    without probing again.  Never raises: invalid parameters, a failed
+    solver check or an unexpected exception come back as [Failed] with
+    the message [Serve] has always answered. *)
 
 val reply_json : ?id:Jsonl.t -> reply -> Jsonl.t
 (** The serve-shaped response object, [id] first when given: [ok],

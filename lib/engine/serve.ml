@@ -20,9 +20,18 @@
    request's "id" when one was parsed — and the loop keeps going.  One
    bad request must not kill the server.
 
-   Observability: each line runs in a [serve.request] span carrying a
-   process-wide request counter and the op label, and its wall time
-   lands in a per-op [serve.op.<label>] histogram.  Labels are the ops
+   Each line is answered in two halves ([respond]): a front half that
+   parses and answers what is bounded work — a warm cache hit, the fixed
+   ops, any error — and a deferred back half ([Later]) for everything
+   else, so a network server can keep its event loops free of unbounded
+   work without a second handler.  With two or more worker domains the
+   whole line is the back half ([front]).  [handle_line] runs both in
+   the caller.
+
+   Observability: each line is answered in a [serve.request] span
+   carrying a process-wide request counter and the op label, opened by
+   the half that answers; the run time of both halves (not the wait
+   between them) lands in a per-op [serve.op.<label>] histogram.  Labels are the ops
    above, "other" for an unknown op and "invalid" when no op was
    parsed.  The [metrics] op — and a "metrics" field on [stats] —
    returns the full {!Obs.snapshot_json}. *)
@@ -158,52 +167,36 @@ let populate_response engine req =
              ("skipped", Jsonl.int (List.length lines - loaded));
            ])
 
-(* a parsed hot query's response; a parse error is answered in the same
-   shape (and position) as an evaluation error *)
-let query_response engine req =
-  let id = Jsonl.member "id" req in
-  match Query.of_json req with
-  | Ok q -> Query.reply_json ?id (Query.answer engine q)
-  | Error m -> error_response ~req m
-
-let handle_request engine req =
-  match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
-  | Some "stats" -> stats_response engine
-  | Some "metrics" -> metrics_response ()
-  | Some "models" -> models_response ()
-  | Some "snapshot" -> snapshot_response engine req
-  | Some "populate" -> populate_response engine req
-  | Some "batch" ->
-      let requests =
-        match Option.bind (Jsonl.member "requests" req) Jsonl.to_list_opt with
-        | Some rs -> rs
-        | None -> bad "batch needs a \"requests\" array"
-      in
-      (* parse everything first so one bad member fails its slot, not the
-         whole batch; then evaluate the good ones in parallel.  Every slot
-         is rendered exactly as the top-level answer would be — the router
-         splices batch members verbatim, so a member response must be
-         byte-identical to its top-level counterpart. *)
-      let parsed = List.map (fun r -> (r, Query.of_json r)) requests in
-      let results =
-        Engine.run_all engine
-          (List.filter_map
-             (function
-               | _, Ok q -> Some (fun () -> Query.answer engine q)
-               | _, Error _ -> None)
-             parsed)
-      in
-      let rec zip parsed results =
-        match (parsed, results) with
-        | [], _ -> []
-        | (r, Error m) :: tl, results -> error_response ~req:r m :: zip tl results
-        | (r, Ok _) :: tl, res :: results ->
-            Query.reply_json ?id:(Jsonl.member "id" r) res :: zip tl results
-        | (_, Ok _) :: _, [] -> assert false
-      in
-      Jsonl.Obj
-        [ ("ok", Jsonl.Bool true); ("results", Jsonl.Arr (zip parsed results)) ]
-  | _ -> query_response engine req
+(* parse everything first so one bad member fails its slot, not the
+   whole batch; then evaluate the good ones in parallel.  Every slot is
+   rendered exactly as the top-level answer would be — the router
+   splices batch members verbatim, so a member response must be
+   byte-identical to its top-level counterpart. *)
+let batch_response engine req =
+  let requests =
+    match Option.bind (Jsonl.member "requests" req) Jsonl.to_list_opt with
+    | Some rs -> rs
+    | None -> bad "batch needs a \"requests\" array"
+  in
+  let parsed = List.map (fun r -> (r, Query.of_json r)) requests in
+  let results =
+    Engine.run_all engine
+      (List.filter_map
+         (function
+           | _, Ok q -> Some (fun () -> Query.answer engine q)
+           | _, Error _ -> None)
+         parsed)
+  in
+  let rec zip parsed results =
+    match (parsed, results) with
+    | [], _ -> []
+    | (r, Error m) :: tl, results -> error_response ~req:r m :: zip tl results
+    | (r, Ok _) :: tl, res :: results ->
+        Query.reply_json ?id:(Jsonl.member "id" r) res :: zip tl results
+    | (_, Ok _) :: _, [] -> assert false
+  in
+  Jsonl.Obj
+    [ ("ok", Jsonl.Bool true); ("results", Jsonl.Arr (zip parsed results)) ]
 
 (* process-wide request counter; attached to every [serve.request] span so
    a trace's requests stay distinguishable even without client "id"s *)
@@ -225,34 +218,84 @@ let op_label = function
   | None -> "invalid"
   | Some op -> if List.mem op op_labels then op else "other"
 
-let handle_line engine line =
+type step = Now of string | Later of (unit -> string)
+
+let force = function Now s -> s | Later f -> f ()
+
+(* an event loop is one domain: hits answered there serialize work that
+   a pool of two or more worker domains would spread, so with such a
+   pool the whole request, parse included, is the back half *)
+let front engine f =
+  if Engine.domains engine > 1 then Later (fun () -> force (f ())) else f ()
+
+let split engine line =
+  let t0 = Obs.monotonic () in
   let rid = Atomic.fetch_and_add request_ids 1 in
   Obs.incr (Lazy.force requests_c);
-  Obs.with_span "serve.request"
-    ~attrs:[ ("request", Jsonl.int rid) ]
-    (fun sp ->
-      let t0 = Obs.monotonic () in
-      let op = ref None in
-      let response =
-        match Jsonl.of_string line with
-        | exception Jsonl.Parse_error m -> error_response ("parse error: " ^ m)
-        | exception e ->
-            (* e.g. Stack_overflow from pathologically nested input *)
-            error_response ("parse error: " ^ Printexc.to_string e)
-        | req -> (
-            op := Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt;
-            try handle_request engine req with
-            | Bad_request m -> error_response ~req m
-            | Invalid_argument m | Failure m -> error_response ~req m
-            | e ->
-                (* a handler bug or resource blow-up must answer this
-                   request, not kill the serve loop *)
-                error_response ~req ("internal error: " ^ Printexc.to_string e))
-      in
-      let label = op_label !op in
-      Obs.set_attr sp "op" (Jsonl.Str label);
-      Obs.observe (Obs.histogram ("serve.op." ^ label)) (Obs.monotonic () -. t0);
-      Jsonl.to_string response)
+  (* the answering half: the request's one [serve.request] span, and its
+     [serve.op.<label>] entry, which adds the time the front half ran
+     [before] it — never the wait for a worker in between *)
+  let finish ?req ~before op body =
+    let t1 = Obs.monotonic () in
+    Obs.with_span "serve.request"
+      ~attrs:[ ("request", Jsonl.int rid) ]
+      (fun sp ->
+        let response =
+          try body () with
+          | Bad_request m | Invalid_argument m | Failure m ->
+              error_response ?req m
+          | e ->
+              (* a handler bug or resource blow-up must answer this
+                 request, not kill the serve loop *)
+              error_response ?req ("internal error: " ^ Printexc.to_string e)
+        in
+        let label = op_label op in
+        Obs.set_attr sp "op" (Jsonl.Str label);
+        Obs.observe
+          (Obs.histogram ("serve.op." ^ label))
+          (before +. (Obs.monotonic () -. t1));
+        Jsonl.to_string response)
+  in
+  let now ?req op body = Now (finish ?req ~before:(Obs.monotonic () -. t0) op body) in
+  let later ~req op body =
+    let before = Obs.monotonic () -. t0 in
+    Later (fun () -> finish ~req ~before op body)
+  in
+  match Jsonl.of_string line with
+  | exception Jsonl.Parse_error m ->
+      now None (fun () -> error_response ("parse error: " ^ m))
+  | exception e ->
+      (* e.g. Stack_overflow from pathologically nested input *)
+      now None (fun () -> error_response ("parse error: " ^ Printexc.to_string e))
+  | req -> (
+      let op = Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt in
+      let now = now ~req op and later = later ~req op in
+      match op with
+      | Some "stats" -> now (fun () -> stats_response engine)
+      | Some "metrics" -> now metrics_response
+      | Some "models" -> now models_response
+      (* their cost grows with the request or the cache *)
+      | Some "snapshot" -> later (fun () -> snapshot_response engine req)
+      | Some "populate" -> later (fun () -> populate_response engine req)
+      | Some "batch" -> later (fun () -> batch_response engine req)
+      | _ -> (
+          (* a hot query (or an unknown op, which its parser rejects): a
+             warm slot answers now, anything that must build, eliminate
+             or derive waits for a worker *)
+          let id = Jsonl.member "id" req in
+          match Query.of_json req with
+          | Error m -> now (fun () -> error_response ~req m)
+          | Ok q -> (
+              match Query.lookup engine q with
+              | Some _ as probed ->
+                  now (fun () -> Query.reply_json ?id (Query.answer ~probed engine q))
+              | None ->
+                  later (fun () ->
+                      Query.reply_json ?id (Query.answer ~probed:None engine q)))))
+
+let respond engine line = front engine (fun () -> split engine line)
+
+let handle_line engine line = force (respond engine line)
 
 let run engine ic oc =
   let rec loop () =

@@ -22,11 +22,44 @@
     produce [{"ok":false,"error":...}] responses, echoing the request's
     ["id"] when one was parsed, and the loop continues. *)
 
+type step =
+  | Now of string  (** answered: the response line *)
+  | Later of (unit -> string)
+      (** the deferred back half, to run on a worker; forcing it
+          returns the response line *)
+
+val respond : Engine.t -> string -> step
+(** Process one request line in two halves.  The front half runs in
+    the call (unless {!front} defers it whole, under a pool of two or
+    more worker domains): parse once, then answer [Now] what is bounded
+    work — a
+    hot query a warm cache slot answers ({!Query.lookup}), [models],
+    [stats], [metrics], and every error.  Anything whose cost grows
+    with the request — a miss to build and eliminate, a facets query,
+    [check] mode, the symbolic tier, [batch], [snapshot], [populate] —
+    comes back [Later], carrying the already-parsed request.  Neither
+    half raises.  This is the transport-independent core:
+    [Psph_net.Server] answers [Now] on its event loop and sends [Later]
+    to the engine's pool (see docs/NET.md).  The [serve.request] span
+    is opened by the half that answers; the [serve.op.<label>] entry
+    is the run time of both halves, not the wait for a worker between
+    them. *)
+
+val force : step -> string
+(** The response line of a step, running a [Later] in the caller. *)
+
+val front : Engine.t -> (unit -> step) -> step
+(** [front engine f] runs the front half [f] in the call when the
+    engine has at most one worker domain, and otherwise defers it whole
+    ([Later], forcing [f]'s step): an event loop is one domain, so
+    answering hits there would serialize work that a wider pool
+    spreads.  {!respond} and [Psph_net.Codec.respond] both start with
+    it. *)
+
 val handle_line : Engine.t -> string -> string
-(** Process one request line, returning the response line (no trailing
-    newline).  Never raises.  This is the transport-independent core:
-    {!run} drives it from stdio and [Psph_net.Server] drives the same
-    function over TCP (see docs/NET.md). *)
+(** [force (respond engine line)]: the response line (no trailing
+    newline) for one request, both halves in the caller.  Never
+    raises. *)
 
 val run : Engine.t -> in_channel -> out_channel -> unit
 (** Serve until EOF (responses flushed per line), then {!Engine.flush}. *)

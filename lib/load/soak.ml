@@ -272,7 +272,7 @@ let run cfg =
           match
             Server.listen ~metrics:"soak.front" ~max_conns:256
               ~dispatch:(Server.threaded_dispatch ())
-              ~handler:(Router.route router)
+              ~handler:(Server.deferred (Router.route router))
               { Addr.host = "127.0.0.1"; port = 0 }
           with
           | Error m ->

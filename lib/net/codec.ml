@@ -442,15 +442,29 @@ let reply_of_json = Query.reply_of_json
 (* the binary server handler                                           *)
 (* ------------------------------------------------------------------ *)
 
-let handle ~json engine payload =
+(* a warm hit is encoded now; a miss (or a facets query) is the back
+   half, continuing past the probe already made *)
+let respond ~json engine payload =
+  Psph_engine.Serve.front engine @@ fun () ->
   match unescape_json payload with
-  | Some line -> escape_json (json line)
+  | Some line -> (
+      match json line with
+      | Psph_engine.Serve.Now s -> Now (escape_json s)
+      | Later f -> Later (fun () -> escape_json (f ())))
   | None -> (
       match decode_request payload with
       | Error m ->
-          encode_reply
-            (Failed { id = request_id_of_payload payload; message = "bad request: " ^ m })
-      | Ok { id; want; query } ->
-          encode_reply
-            (Query.answer ~id engine
-               { want; target = query; mode = Psph_engine.Engine.Auto }))
+          Now
+            (encode_reply
+               (Failed
+                  { id = request_id_of_payload payload; message = "bad request: " ^ m }))
+      | Ok { id; want; query } -> (
+          let q = { Query.want; target = query; mode = Psph_engine.Engine.Auto } in
+          match Query.lookup engine q with
+          | Some _ as probed -> Now (encode_reply (Query.answer ~id ~probed engine q))
+          | None ->
+              Later (fun () -> encode_reply (Query.answer ~id ~probed:None engine q))))
+
+let handle ~json engine payload =
+  Psph_engine.Serve.force
+    (respond ~json:(fun line -> Psph_engine.Serve.Now (json line)) engine payload)

@@ -117,9 +117,22 @@ val json_line_of_query : ?id:Jsonl.t -> want -> query -> string
 val reply_of_json : string -> reply option
 (** {!Psph_engine.Query.reply_of_json}. *)
 
+val respond :
+  json:(string -> Psph_engine.Serve.step) ->
+  Psph_engine.Engine.t ->
+  string ->
+  Psph_engine.Serve.step
+(** The binary server handler, in the two halves of
+    {!Psph_engine.Serve.respond}: decode, then [Now] with the encoded
+    reply when {!Psph_engine.Query.lookup} finds a warm slot (or the
+    payload is corrupt: a binary error reply), else [Later] with the
+    rest of {!Psph_engine.Query.answer}.  Escape-tagged payloads go
+    through [json] (in production {!Psph_engine.Serve.respond}) and
+    come back escape-tagged in whichever half it answers them.  Under
+    a pool of two or more worker domains the whole payload is the back
+    half ({!Psph_engine.Serve.front}).  Never raises. *)
+
 val handle :
   json:(string -> string) -> Psph_engine.Engine.t -> string -> string
-(** The binary server handler: decode, {!Psph_engine.Query.answer},
-    encode.  Escape-tagged payloads go through [json] (in production
-    {!Psph_engine.Serve.handle_line}) and come back escape-tagged.
-    Never raises; corrupt input is answered with a binary error reply. *)
+(** {!respond} with both halves run in the caller, over a [json]
+    handler that answers in one. *)

@@ -48,6 +48,9 @@ and loop = {
   mutable lthread : Thread.t option;
   mutable ltid : int;  (** Thread.id of the loop thread, -1 before start *)
   wakeups : Obs.counter;  (** shared across loops; here so [send] needs no [t] *)
+  obuf_bytes : Obs.gauge;
+      (** likewise shared: output queued on every connection, not yet
+          written *)
 }
 
 type t = {
@@ -99,7 +102,10 @@ let send c bytes =
   let accepted = not (c.closing || c.dead) in
   if accepted then Buffer.add_string c.obuf bytes;
   Mutex.unlock c.lk;
-  if accepted then wake c.owner
+  if accepted then begin
+    Obs.gauge_add c.owner.obuf_bytes (float_of_int (String.length bytes));
+    wake c.owner
+  end
 
 let close c =
   Mutex.lock c.lk;
@@ -114,7 +120,12 @@ let close c =
 (* loop thread only: close the descriptor and deregister *)
 let do_close t c =
   if not c.dead then begin
+    (* under the lock, so no [send] lands after the discard count *)
+    Mutex.lock c.lk;
     c.dead <- true;
+    let discarded = opending c in
+    Mutex.unlock c.lk;
+    Obs.gauge_add c.owner.obuf_bytes (-.float_of_int discarded);
     (try Unix.close c.fd with _ -> ());
     c.owner.lconns <- List.filter (fun o -> o != c) c.owner.lconns;
     Atomic.decr t.nconns;
@@ -136,7 +147,9 @@ let write_step t c =
   let len = String.length s - off in
   if len > 0 then begin
     match Unix.write_substring c.fd s off len with
-    | n -> c.opos <- c.opos + n
+    | n ->
+        c.opos <- c.opos + n;
+        Obs.gauge_add c.owner.obuf_bytes (-.float_of_int n)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       -> ()
     | exception Unix.Unix_error (_, _, _) -> do_close t c
@@ -305,6 +318,7 @@ let create ?(metrics = "net.reactor") ?(loops = 2)
       frames_per_read = Obs.histogram (metrics ^ ".frames_per_read");
     }
   in
+  let obuf_bytes = Obs.gauge (metrics ^ ".obuf_bytes") in
   let mk_loop _ =
     let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     Unix.set_nonblock wake_r;
@@ -319,6 +333,7 @@ let create ?(metrics = "net.reactor") ?(loops = 2)
       lthread = None;
       ltid = -1;
       wakeups = m.wakeups;
+      obuf_bytes;
     }
   in
   Obs.gauge_set m.loops_g (float_of_int loops);

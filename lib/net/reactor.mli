@@ -9,15 +9,18 @@
     engine's pool (see {!Server}'s [dispatch]) — but they may call
     {!send} and {!close} freely, from any thread: output is buffered per
     connection and flushed by the owning loop, which a cross-thread send
-    wakes through a self-pipe.
+    wakes through a self-pipe.  A send from the loop thread itself needs
+    no wake: the loop writes it out in the same iteration.
 
     The connection limit, protocol semantics, and response ordering all
     live a layer up in {!Server}; the reactor only moves bytes.  Its own
     health is visible as [<prefix>.loops] / [<prefix>.conns] gauges, a
     [<prefix>.wakeups] counter (cross-thread pokes), a [<prefix>.frames]
-    counter and a [<prefix>.frames_per_read] histogram — the last being
-    the pipelining-efficiency signal: how many requests each [read]
-    syscall carried (docs/NET.md catalogues all of them). *)
+    counter, a [<prefix>.frames_per_read] histogram — the
+    pipelining-efficiency signal: how many requests each [read] syscall
+    carried — and a [<prefix>.obuf_bytes] gauge, the output queued on
+    all connections and not yet written (docs/NET.md catalogues all of
+    them). *)
 
 type t
 

@@ -2,13 +2,20 @@
 
    Threading model: the accept loop runs in [serve]'s thread and only
    accepts — each descriptor goes straight to the reactor, whose loop
-   threads do all socket I/O.  A decoded frame becomes a job (inline on
-   the loop, or on [dispatch]); its response is queued back on the
-   connection from whatever thread the job ran on.
+   threads do all socket I/O.  A decoded frame of at most 4 KiB runs
+   the handler's front half on the loop.  A [Now] answer (a warm cache
+   hit, a fixed op, an error) is queued there and then; the loop flushes
+   it in the same select iteration, with no wake-up.  Only a [Later]
+   back half — work that grows with the request — is a job for
+   [dispatch] (a longer frame is one whole), and its response is queued
+   back on the connection from the thread it ran on.
+   So the per-connection state below is filled from two threads: the
+   loop and a worker.
 
    Ordering contract: a connection that has not negotiated pipelining
-   gets v1 semantics — responses in request order — even though jobs may
-   complete out of order on the dispatch pool.  Each such request takes
+   gets v1 semantics — responses in request order — even though a hit
+   answered on the loop can finish before a miss ahead of it, and jobs
+   out of order on the dispatch pool.  Each such request takes
    a sequence number at decode time (loop thread, so numbering matches
    arrival order) and [complete] holds finished responses until their
    turn.  Negotiated connections skip the machinery entirely: responses
@@ -22,7 +29,9 @@
 
 open Psph_obs
 
-type handler = string -> string
+type handler = string -> Psph_engine.Serve.step
+
+let deferred f line = Psph_engine.Serve.Later (fun () -> f line)
 
 type metrics = {
   accepted : Obs.counter;
@@ -35,7 +44,9 @@ type metrics = {
   request_s : Obs.histogram;
   hello : Obs.counter;  (** protocol negotiations *)
   binary : Obs.counter;  (** binary-codec requests *)
-  dispatched : Obs.counter;  (** jobs run on the dispatch pool *)
+  dispatched : Obs.counter;  (** deferred halves sent to [dispatch] *)
+  inflight_g : Obs.gauge;  (** deferred halves not yet answered *)
+  held_g : Obs.gauge;  (** responses waiting in [held] tables *)
 }
 
 type codec = Cjson | Cbinary
@@ -83,6 +94,8 @@ let make_metrics prefix =
     hello = Obs.counter (prefix ^ ".hello");
     binary = Obs.counter (prefix ^ ".binary_requests");
     dispatched = Obs.counter (prefix ^ ".dispatched");
+    inflight_g = Obs.gauge (prefix ^ ".inflight");
+    held_g = Obs.gauge (prefix ^ ".held");
   }
 
 (* a response written to a peer that already hung up must fail with
@@ -104,10 +117,10 @@ let span_parent_of line =
       Option.bind (Jsonl.member "span_parent" o) Jsonl.to_int_opt
   | _ -> None
 
-(* the error shape the connection's codec calls for, addressed to the
-   request the [orig] payload holds (binary replies need its id) *)
-let error_for st ?orig msg =
-  match st.codec with
+(* the error shape a codec calls for, addressed to the request the
+   [orig] payload holds (binary replies need its id) *)
+let error_for codec ?orig msg =
+  match codec with
   | Cjson -> error_line ?orig msg
   | Cbinary -> (
       match Option.bind orig Codec.unescape_json with
@@ -124,7 +137,7 @@ let error_for st ?orig msg =
 (* response completion                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let frame_of t st ?orig resp =
+let frame_of t codec ?orig resp =
   match Frame.encode ~max_frame:t.max_frame resp with
   | bytes -> bytes
   | exception Frame.Oversized n ->
@@ -132,14 +145,14 @@ let frame_of t st ?orig resp =
       let msg =
         Printf.sprintf "response too large (%d bytes, max %d)" n t.max_frame
       in
-      (try Frame.encode ~max_frame:t.max_frame (error_for st ?orig msg)
+      (try Frame.encode ~max_frame:t.max_frame (error_for codec ?orig msg)
        with Frame.Oversized _ -> "" (* max_frame too small even for errors *))
 
 (* emit a response, honoring the ordered contract for pre-negotiation
    connections: [seq < 0] means the connection pipelines and the
    response goes straight out *)
-let complete t conn st ?orig seq resp =
-  let bytes = frame_of t st ?orig resp in
+let complete t conn st codec ?orig seq resp =
+  let bytes = frame_of t codec ?orig resp in
   if seq < 0 then Reactor.send conn bytes
   else begin
     Mutex.lock st.slk;
@@ -150,6 +163,7 @@ let complete t conn st ?orig seq resp =
         match Hashtbl.find_opt st.held st.next_emit with
         | Some b ->
             Hashtbl.remove st.held st.next_emit;
+            Obs.gauge_add t.m.held_g (-1.0);
             Reactor.send conn b;
             st.next_emit <- st.next_emit + 1;
             drain ()
@@ -157,18 +171,33 @@ let complete t conn st ?orig seq resp =
       in
       drain ()
     end
-    else Hashtbl.add st.held seq bytes;
+    else begin
+      Hashtbl.add st.held seq bytes;
+      Obs.gauge_add t.m.held_g 1.0
+    end;
     Mutex.unlock st.slk
+  end
+
+(* loop thread only: the request's place in a v1 connection's response
+   order, -1 when the connection pipelines *)
+let take_seq st =
+  if st.pipelined then -1
+  else begin
+    let s = st.next_seq in
+    st.next_seq <- s + 1;
+    s
   end
 
 let begin_inflight t st =
   Atomic.incr t.inflight;
+  Obs.gauge_add t.m.inflight_g 1.0;
   Mutex.lock st.slk;
   st.cinflight <- st.cinflight + 1;
   Mutex.unlock st.slk
 
 let finish_inflight t conn st =
   Atomic.decr t.inflight;
+  Obs.gauge_add t.m.inflight_g (-1.0);
   Mutex.lock st.slk;
   st.cinflight <- st.cinflight - 1;
   let close_now = st.eof && st.cinflight = 0 in
@@ -183,43 +212,6 @@ let finish_inflight t conn st =
 
 let deadline_msg d = Printf.sprintf "deadline exceeded (%.0f ms limit)" (1000. *. d)
 
-let json_response t payload =
-  let t0 = Obs.monotonic () in
-  (* re-root under the span id the client put on the wire, so a loopback
-     trace nests net.client.request -> serve.request across the socket;
-     only meaningful (and only looked for) when a sink is live *)
-  let parent =
-    if Obs.current_sink () = Obs.Null then None else span_parent_of payload
-  in
-  let response =
-    try Obs.with_parent parent (fun () -> t.handler payload)
-    with e -> error_line ~orig:payload ("internal error: " ^ Printexc.to_string e)
-  in
-  let elapsed = Obs.monotonic () -. t0 in
-  Obs.observe t.m.request_s elapsed;
-  match t.deadline_s with
-  | Some d when elapsed > d ->
-      (* cooperative: the work already ran, but the contract with the
-         client is an error once the deadline has passed *)
-      Obs.incr t.m.deadline_exceeded;
-      error_line ~orig:payload (deadline_msg d)
-  | _ -> response
-
-let binary_response t st bin payload =
-  Obs.incr t.m.binary;
-  let t0 = Obs.monotonic () in
-  let response =
-    try bin payload
-    with e -> error_for st ~orig:payload ("internal error: " ^ Printexc.to_string e)
-  in
-  let elapsed = Obs.monotonic () -. t0 in
-  Obs.observe t.m.request_s elapsed;
-  match t.deadline_s with
-  | Some d when elapsed > d ->
-      Obs.incr t.m.deadline_exceeded;
-      error_for st ~orig:payload (deadline_msg d)
-  | _ -> response
-
 let run_job t job =
   match t.dispatch with
   | None -> job ()
@@ -233,9 +225,11 @@ let run_job t job =
 (* the hello handshake                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* compares in place: this runs on every small JSON frame *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  let rec at i j = j = nn || (hay.[i + j] = needle.[j] && at i (j + 1)) in
+  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
   go 0
 
 let hello_req payload =
@@ -283,21 +277,94 @@ let handle_hello t conn st req payload =
   (* the response itself still honors the pre-hello ordering; the mode
      switch applies from the next frame on (the client is required to
      wait for this answer before using what it negotiated) *)
-  let seq =
-    if st.pipelined then -1
-    else begin
-      let s = st.next_seq in
-      st.next_seq <- s + 1;
-      s
-    end
-  in
-  complete t conn st ~orig:payload seq resp;
+  complete t conn st st.codec ~orig:payload (take_seq st) resp;
   st.codec <- codec;
   st.pipelined <- pipelined
 
 (* ------------------------------------------------------------------ *)
 (* reactor callbacks                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* a longer frame is deferred whole, front half included: parsing it is
+   the one front-half cost that grows with the frame, and hot queries
+   are short *)
+let front_max_bytes = 4096
+
+(* one request: the handler's front half here on the loop, its back half
+   (if any) on [dispatch].  Both halves are timed, re-rooted under the
+   client's ["span_parent"] when a trace is live, and never raise; the
+   deadline applies to their sum, as it did when one job ran both. *)
+let on_request t conn st payload =
+  Obs.incr t.m.requests;
+  let seq = take_seq st in
+  let codec = st.codec in
+  let handler =
+    match codec with
+    | Cjson -> t.handler
+    | Cbinary -> (
+        Obs.incr t.m.binary;
+        match t.bin_handler with
+        | Some bin -> bin
+        | None ->
+            (* unreachable: binary is only granted with a bin_handler *)
+            fun _ ->
+              Psph_engine.Serve.Now
+                (error_for codec ~orig:payload "binary codec unavailable"))
+  in
+  (* nests a loopback trace net.client.request -> serve.request across
+     the socket; only looked for (and only observable) under a live sink,
+     and by whichever thread runs the front half *)
+  let parent =
+    lazy
+      (if codec = Cjson && Obs.current_sink () <> Obs.Null then
+         Some (span_parent_of payload)
+       else None)
+  in
+  let internal e =
+    error_for codec ~orig:payload ("internal error: " ^ Printexc.to_string e)
+  in
+  let run half =
+    match Lazy.force parent with
+    | Some p -> Obs.with_parent p half
+    | None -> half ()
+  in
+  let timed half on_raise =
+    let t0 = Obs.monotonic () in
+    let r = try run half with e -> on_raise (internal e) in
+    (r, Obs.monotonic () -. t0)
+  in
+  let finish elapsed resp =
+    Obs.observe t.m.request_s elapsed;
+    let resp =
+      match t.deadline_s with
+      | Some d when elapsed > d ->
+          (* cooperative: the work already ran, but the contract with
+             the client is an error once the deadline has passed *)
+          Obs.incr t.m.deadline_exceeded;
+          error_for codec ~orig:payload (deadline_msg d)
+      | _ -> resp
+    in
+    complete t conn st codec ~orig:payload seq resp
+  in
+  let front () = timed (fun () -> handler payload) (fun r -> Psph_engine.Serve.Now r) in
+  (* answer a request whose front half has run, in this thread *)
+  let rest = function
+    | Psph_engine.Serve.Now resp, front -> finish front resp
+    | Later back, front ->
+        let resp, dt = timed back Fun.id in
+        finish (front +. dt) resp
+  in
+  let defer job =
+    begin_inflight t st;
+    run_job t (fun () ->
+        job ();
+        finish_inflight t conn st)
+  in
+  if String.length payload > front_max_bytes then defer (fun () -> rest (front ()))
+  else
+    match front () with
+    | (Now _, _) as answered -> rest answered
+    | (Later _, _) as half -> defer (fun () -> rest half)
 
 let on_frame t conn payload =
   match Reactor.user conn with
@@ -306,32 +373,7 @@ let on_frame t conn payload =
         match st.codec with Cjson -> hello_req payload | Cbinary -> None
       with
       | Some req -> handle_hello t conn st req payload
-      | None ->
-          Obs.incr t.m.requests;
-          let seq =
-            if st.pipelined then -1
-            else begin
-              let s = st.next_seq in
-              st.next_seq <- s + 1;
-              s
-            end
-          in
-          begin_inflight t st;
-          let codec = st.codec in
-          run_job t (fun () ->
-              let resp =
-                match codec with
-                | Cjson -> json_response t payload
-                | Cbinary -> (
-                    match t.bin_handler with
-                    | Some bin -> binary_response t st bin payload
-                    | None ->
-                        (* unreachable: binary is only granted with a
-                           bin_handler installed *)
-                        error_for st ~orig:payload "binary codec unavailable")
-              in
-              complete t conn st ~orig:payload seq resp;
-              finish_inflight t conn st))
+      | None -> on_request t conn st payload)
   | _ -> ()
 
 let on_failure t conn fail =
@@ -346,15 +388,7 @@ let on_failure t conn fail =
           let msg =
             Printf.sprintf "frame too large (%d bytes, max %d)" len t.max_frame
           in
-          let seq =
-            if st.pipelined then -1
-            else begin
-              let s = st.next_seq in
-              st.next_seq <- s + 1;
-              s
-            end
-          in
-          complete t conn st seq (error_for st msg);
+          complete t conn st st.codec (take_seq st) (error_for st.codec msg);
           Reactor.close conn)
   | _ -> ()
 

@@ -1,12 +1,16 @@
 (** A TCP front end for a line handler: the {!Reactor}-based server that
     puts {!Psph_engine.Serve.handle_line} behind a socket.
 
-    v2 architecture (PR 6): accepted connections are multiplexed by a
-    small fixed pool of event-loop threads ([reactor_threads]) instead
-    of one thread per socket.  Each completed {!Frame} becomes a job —
-    run inline on the loop when the handler is cheap, or handed to
-    [dispatch] (in production {!Psph_engine.Engine.dispatch}, the
-    engine's Domain pool) so loops never block on CPU-bound work.
+    Accepted connections are multiplexed by a small fixed pool of
+    event-loop threads ([reactor_threads]) instead of one thread per
+    socket.  Each completed {!Frame} of at most 4 KiB runs the
+    handler's front half on the loop ({!Psph_engine.Serve.respond}): a
+    [Now] answer — a warm cache hit, [models]/[stats]/[metrics], an
+    error — is queued and flushed in the same loop iteration.  Only a
+    [Later] back half, or a longer frame whole, is handed to [dispatch]
+    (in production {!Psph_engine.Engine.dispatch}, the engine's Domain
+    pool), so loops never block on work that grows with the request,
+    and a warm hit never waits behind a miss.
 
     {b Wire protocol} (full specification in docs/NET.md, "Wire
     protocol v2"): a connection starts in JSON-lines mode with strictly
@@ -31,16 +35,23 @@
 
     Observability ([net.server.*] plus the reactor's [net.reactor.*],
     catalogued in docs/NET.md): v1's counters and latency histogram,
-    plus [hello] (negotiations), [binary_requests] and [dispatched]
-    (jobs sent to the dispatch pool).  JSON requests still re-root
+    plus [hello] (negotiations), [binary_requests], [dispatched]
+    (deferred halves sent to [dispatch]) and the gauges [inflight]
+    (deferred halves not yet answered) and [held] (responses waiting
+    for their turn on ordered connections).  JSON requests still re-root
     their handler span under the request's ["span_parent"] field, so
     loopback traces keep nesting [net.client.request -> serve.request]
     across the socket. *)
 
-type handler = string -> string
-(** Must never raise ({!Psph_engine.Serve.handle_line} already
-    guarantees this); a raise is caught, answered as an internal error,
-    and counted, but indicates a handler bug. *)
+type handler = string -> Psph_engine.Serve.step
+(** A request's front half, run on an event loop; it must do bounded
+    work and return [Later] for the rest.  Neither half may raise
+    ({!Psph_engine.Serve.respond} guarantees this); a raise is caught
+    and answered as an internal error, but indicates a handler bug. *)
+
+val deferred : (string -> string) -> handler
+(** A handler that answers every request in its back half — for
+    handlers that block on I/O of their own, like {!Router.route}. *)
 
 type t
 
@@ -60,12 +71,12 @@ val listen :
     read it back with {!port}).  [metrics] prefixes the metric names
     (default ["net.server"]).  [max_conns] defaults to 64,
     [reactor_threads] to 2.  [bin_handler] (typically
-    [Codec.handle ~json:handler engine]) enables the binary codec at
+    [Codec.respond ~json:handler engine]) enables the binary codec at
     hello; without it binary requests are refused at negotiation.
-    [dispatch] runs request jobs off the event loops (typically
-    {!Psph_engine.Engine.dispatch}); omitted, handlers run inline on
-    the loop — right for handlers that are fast or that block on their
-    own I/O rarely. *)
+    [dispatch] runs the [Later] halves off the event loops (typically
+    {!Psph_engine.Engine.dispatch}); omitted, they run inline on the
+    loop too.  [deadline_s] is checked against the time the two halves
+    ran, not counting the wait for a worker. *)
 
 val port : t -> int
 

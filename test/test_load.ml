@@ -19,10 +19,10 @@ let loopback port = { Addr.host = "127.0.0.1"; port }
 
 let with_engine_server f =
   let engine = E.create ~domains:0 () in
-  let handler = Serve.handle_line engine in
+  let handler = Serve.respond engine in
   match
     Server.listen ~handler
-      ~bin_handler:(Codec.handle ~json:handler engine)
+      ~bin_handler:(Codec.respond ~json:handler engine)
       (loopback 0)
   with
   | Error m -> fail m
@@ -261,10 +261,10 @@ let make_inproc_backend _i =
   let srv = ref None in
   let start port =
     let engine = E.create ~domains:0 () in
-    let handler = Serve.handle_line engine in
+    let handler = Serve.respond engine in
     match
       Server.listen ~handler
-        ~bin_handler:(Codec.handle ~json:handler engine)
+        ~bin_handler:(Codec.respond ~json:handler engine)
         (loopback port)
     with
     | Error m -> Error m

@@ -4,8 +4,9 @@
    across the socket), the v2 binary codec (qcheck round-trips, decoder
    fuzz, byte-equivalence with the JSON answers for every registered
    model), pipelining (ordering, id restoration, v1 fallback, stale
-   responses), and router hashing + failover + batch fan-out with a
-   dying backend. *)
+   responses), router hashing + failover + batch fan-out with a dying
+   backend, and the loop/worker split (a warm hit never waits behind a
+   miss; bytes and accounting as when every request ran whole). *)
 
 open Psph_net
 module Obs = Psph_obs.Obs
@@ -199,10 +200,10 @@ let with_server ?deadline_s ?max_frame ?dispatch handler f =
 
 (* the engine server as [psc serve] runs it: binary codec installed *)
 let with_v2_server ?metrics engine f =
-  let handler = Serve.handle_line engine in
+  let handler = Serve.respond engine in
   match
     Server.listen ?metrics ~handler
-      ~bin_handler:(Codec.handle ~json:handler engine)
+      ~bin_handler:(Codec.respond ~json:handler engine)
       (loopback 0)
   with
   | Error m -> fail m
@@ -301,7 +302,7 @@ let loopback_tests =
   [
     Alcotest.test_case "byte-identical with Serve.handle_line" `Quick (fun () ->
         with_engine @@ fun engine ->
-        with_server (Serve.handle_line engine) @@ fun _srv addr ->
+        with_server (Serve.respond engine) @@ fun _srv addr ->
         with_client addr @@ fun c ->
         let line = {|{"op":"psph","n":2,"values":2,"id":7}|} in
         ignore (Serve.handle_line engine line);
@@ -315,7 +316,7 @@ let loopback_tests =
     Alcotest.test_case "keep-alive: many ops on one connection" `Quick
       (fun () ->
         with_engine @@ fun engine ->
-        with_server (Serve.handle_line engine) @@ fun _srv addr ->
+        with_server (Serve.respond engine) @@ fun _srv addr ->
         with_client addr @@ fun c ->
         check_contains "models op" (request_ok c {|{"op":"models"}|}) "async";
         check_contains "bad op is a response, not an error"
@@ -326,9 +327,9 @@ let loopback_tests =
           {|"betti":|});
     Alcotest.test_case "deadline exceeded answers an error" `Quick (fun () ->
         with_server ~deadline_s:0.005
-          (fun _ ->
-            Thread.delay 0.05;
-            {|{"ok":true,"late":true}|})
+          (Server.deferred (fun _ ->
+               Thread.delay 0.05;
+               {|{"ok":true,"late":true}|}))
         @@ fun _srv addr ->
         with_client addr @@ fun c ->
         let resp = request_ok c {|{"op":"x","id":9}|} in
@@ -336,7 +337,7 @@ let loopback_tests =
         check_contains "id echoed" resp {|"id":9|});
     Alcotest.test_case "oversized request answered, then reconnect" `Quick
       (fun () ->
-        with_server ~max_frame:128 (fun _ -> "pong") @@ fun _srv addr ->
+        with_server ~max_frame:128 (Server.deferred (fun _ -> "pong")) @@ fun _srv addr ->
         with_client addr @@ fun c ->
         let big = String.make 300 'x' in
         let resp = request_ok c big in
@@ -359,7 +360,7 @@ let loopback_tests =
         (* with max_conns idle peers the accept loop is parked in its
            capacity wait; stop must still reach the drain path and
            return rather than deadlock *)
-        match Server.listen ~max_conns:1 ~handler:(fun _ -> "x") (loopback 0)
+        match Server.listen ~max_conns:1 ~handler:(Server.deferred (fun _ -> "x")) (loopback 0)
         with
         | Error m -> fail m
         | Ok srv ->
@@ -376,34 +377,39 @@ let loopback_tests =
             Server.stop srv);
     Alcotest.test_case "spans nest across the socket" `Quick (fun () ->
         with_engine @@ fun engine ->
-        with_server (Serve.handle_line engine) @@ fun _srv addr ->
+        with_server (Serve.respond engine) @@ fun _srv addr ->
         with_client addr @@ fun c ->
         Fun.protect ~finally:(fun () -> Obs.set_sink Obs.Null) @@ fun () ->
-        Obs.set_sink Obs.Memory;
-        Obs.clear_records ();
-        ignore (request_ok c {|{"op":"psph","n":1,"values":1}|});
-        Obs.set_sink Obs.Null;
-        let span name =
-          List.find_map
-            (function
-              | Obs.Span_record { name = n; id; parent; _ } when n = name ->
-                  Some (id, parent)
-              | _ -> None)
-            (Obs.records ())
-        in
-        match
-          (span "net.client.request", span "serve.request", span "engine.query")
-        with
-        | Some (cid, croot), Some (sid, sparent), Some (_, qparent) ->
-            check (option int) "client span is the root" None croot;
-            check (option int) "serve.request under net.client.request"
-              (Some cid) sparent;
-            check (option int) "engine.query under serve.request" (Some sid)
-              qparent
-        | c', s', q' ->
-            fail
-              (Printf.sprintf "missing spans: client=%b serve=%b query=%b"
-                 (c' <> None) (s' <> None) (q' <> None)));
+        (* the miss is answered on the worker side, the warm hit on the
+           loop: the same nesting either way *)
+        List.iter
+          (fun what ->
+            Obs.set_sink Obs.Memory;
+            Obs.clear_records ();
+            ignore (request_ok c {|{"op":"psph","n":1,"values":1}|});
+            Obs.set_sink Obs.Null;
+            let span name =
+              List.find_map
+                (function
+                  | Obs.Span_record { name = n; id; parent; _ } when n = name ->
+                      Some (id, parent)
+                  | _ -> None)
+                (Obs.records ())
+            in
+            match
+              (span "net.client.request", span "serve.request", span "engine.query")
+            with
+            | Some (cid, croot), Some (sid, sparent), Some (_, qparent) ->
+                check (option int) (what ^ ": client span is the root") None croot;
+                check (option int) (what ^ ": serve.request under net.client.request")
+                  (Some cid) sparent;
+                check (option int) (what ^ ": engine.query under serve.request")
+                  (Some sid) qparent
+            | c', s', q' ->
+                fail
+                  (Printf.sprintf "%s: missing spans: client=%b serve=%b query=%b"
+                     what (c' <> None) (s' <> None) (q' <> None)))
+          [ "miss"; "hit" ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -820,7 +826,9 @@ let pipeline_tests =
           if contains line {|"n":9|} then Thread.delay 0.6;
           Jsonl.to_string (Jsonl.Obj [ ("id", id); ("ok", Jsonl.Bool true) ])
         in
-        with_server ~dispatch:(fun job -> ignore (Thread.create job ())) handler
+        with_server
+          ~dispatch:(fun job -> ignore (Thread.create job ()))
+          (Server.deferred handler)
         @@ fun _srv addr ->
         let c =
           Client.create ~metrics:"t.stale" ~timeout_ms:150 ~retries:0
@@ -1037,9 +1045,9 @@ let router_tests =
            Protocol error, but it's the *request* that's bad: the router
            must answer with the error and keep the backend alive *)
         with_server
-          (fun line ->
-            if contains line "big" then String.make 4096 'x'
-            else {|{"ok":true}|})
+          (Server.deferred (fun line ->
+               if contains line "big" then String.make 4096 'x'
+               else {|{"ok":true}|}))
         @@ fun _srv addr ->
         let r =
           Router.create ~timeout_ms:2000 ~retries:0 ~check_period_ms:3600_000
@@ -1058,8 +1066,8 @@ let router_tests =
           {|"ok":true|});
     Alcotest.test_case "failover when a backend dies" `Quick (fun () ->
         with_engine @@ fun engine ->
-        with_server (Serve.handle_line engine) @@ fun srv1 a1 ->
-        with_server (Serve.handle_line engine) @@ fun srv2 a2 ->
+        with_server (Serve.respond engine) @@ fun srv1 a1 ->
+        with_server (Serve.respond engine) @@ fun srv2 a2 ->
         let r = mk_router [ a1.Addr.port; a2.Addr.port ] in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
         let line = {|{"op":"psph","n":1,"values":2,"id":3}|} in
@@ -1344,8 +1352,8 @@ let cluster_tests =
       (fun () ->
         with_engine @@ fun e1 ->
         with_engine @@ fun e2 ->
-        with_server (Serve.handle_line e1) @@ fun srv1 a1 ->
-        with_server (Serve.handle_line e2) @@ fun srv2 a2 ->
+        with_server (Serve.respond e1) @@ fun srv1 a1 ->
+        with_server (Serve.respond e2) @@ fun srv2 a2 ->
         let r =
           Router.create ~metrics:"t.rep" ~replication:2 ~timeout_ms:2000
             ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
@@ -1387,9 +1395,9 @@ let cluster_tests =
         with_engine @@ fun e1 ->
         with_engine @@ fun e2 ->
         with_engine @@ fun e3 ->
-        with_server (Serve.handle_line e1) @@ fun _s1 a1 ->
-        with_server (Serve.handle_line e2) @@ fun _s2 a2 ->
-        with_server (Serve.handle_line e3) @@ fun _s3 a3 ->
+        with_server (Serve.respond e1) @@ fun _s1 a1 ->
+        with_server (Serve.respond e2) @@ fun _s2 a2 ->
+        with_server (Serve.respond e3) @@ fun _s3 a3 ->
         let r =
           Router.create ~metrics:"t.join" ~replication:2 ~timeout_ms:2000
             ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
@@ -1475,7 +1483,7 @@ let cluster_tests =
           (List.for_all (fun (_, alive) -> not alive) (Router.backends r));
         let engine = E.create ~domains:0 () in
         match
-          Server.listen ~handler:(Serve.handle_line engine) (loopback p2)
+          Server.listen ~handler:(Serve.respond engine) (loopback p2)
         with
         | Error m -> fail m
         | Ok srv ->
@@ -1608,6 +1616,246 @@ let stale_bound_tests =
           (Obs.counter_value (Obs.counter "t.stage.reconnects")));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The loop/worker split: warm hits on the loop, misses on a domain    *)
+(* ------------------------------------------------------------------ *)
+
+(* a raw connection speaking frames, for byte-level checks *)
+let raw_connect addr =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, addr.Addr.port));
+  (fd, Frame.reader ())
+
+let raw_send (fd, _) payload =
+  let out = Frame.encode payload in
+  let off = ref 0 in
+  while !off < String.length out do
+    off := !off + Unix.write_substring fd out !off (String.length out - !off)
+  done
+
+let rec raw_recv ((fd, r) as conn) =
+  match Frame.next r with
+  | Some p -> p
+  | None ->
+      let buf = Bytes.create 65536 in
+      let n = Unix.read fd buf 0 (Bytes.length buf) in
+      if n = 0 then fail "server hung up";
+      Frame.feed r buf 0 n;
+      raw_recv conn
+
+(* each payload's answer is read before the next goes out *)
+let raw_exchange conn payloads =
+  List.map
+    (fun p ->
+      raw_send conn p;
+      raw_recv conn)
+    payloads
+
+let with_split_server ?metrics ~domains handler f =
+  let engine = E.create ~domains () in
+  Fun.protect ~finally:(fun () -> E.shutdown engine) @@ fun () ->
+  let handler = handler engine in
+  match
+    Server.listen ?metrics ~handler
+      ~bin_handler:(Codec.respond ~json:handler engine)
+      ?dispatch:(if domains > 0 then Some (E.dispatch engine) else None)
+      (loopback 0)
+  with
+  | Error m -> fail m
+  | Ok srv ->
+      Server.start srv;
+      Fun.protect
+        ~finally:(fun () -> Server.stop srv)
+        (fun () -> f engine (loopback (Server.port srv)))
+
+(* a request mentioning "slow" is a miss whose back half first holds the
+   one worker domain for 600 ms *)
+let slowed engine line =
+  match Serve.respond engine line with
+  | Serve.Later back when contains line "slow" ->
+      Serve.Later
+        (fun () ->
+          Thread.delay 0.6;
+          back ())
+  | step -> step
+
+let slow_miss = {|{"op":"psph","n":3,"values":2,"id":"slow"}|}
+
+let warm_hit = {|{"op":"psph","n":1,"values":2,"id":"hit"}|}
+
+let gauge name = Obs.gauge_value (Obs.gauge name)
+
+let rec await_gauge name v tries =
+  if gauge name <> v && tries > 0 then begin
+    Thread.delay 0.01;
+    await_gauge name v (tries - 1)
+  end
+
+(* a fixed request sequence touching every kind of request: cold, warm,
+   facets, the symbolic tier, check mode, batch, bad input — as JSON
+   lines over a v1 connection, then over a binary one *)
+let json_sequence =
+  [
+    {|{"op":"psph","n":2,"values":2,"id":1}|};
+    {|{"op":"psph","n":2,"values":2,"id":2}|};
+    {|{"op":"betti","facets":["0:i0 ; 1:i1","1:i1 ; 2:i0"],"id":3}|};
+    {|{"op":"connectivity","n":3,"values":2,"id":4}|};
+    {|{"op":"model-complex","model":"sync","n":2,"r":1,"solver":"check","id":5}|};
+    {|{"op":"batch","requests":[{"op":"psph","n":2,"values":2},{"op":"psph","n":1,"values":3},{"op":"nope"}]}|};
+    {|{"op":"psph","n":"x"}|};
+    {|{"op":|};
+    {|{"op":"connectivity","model":"sync","n":2,"r":1,"id":9}|};
+    {|{"op":"models"}|};
+  ]
+
+(* requests 1, 3, 4, 5 and 6 need building, elimination, a derivation
+   or a batch; the rest are a warm hit, the fixed op and errors *)
+let json_deferred = 5
+
+let binary_sequence =
+  let q id want query = Codec.encode_request { Codec.id; want; query } in
+  [
+    q 1 Codec.Both (Codec.Psph { n = 3; values = 3 });
+    q 2 Codec.Both (Codec.Psph { n = 3; values = 3 });
+    q 3 Codec.Betti (Codec.Facets [ "0:i0 ; 1:i1 ; 2:i0" ]);
+    q 4 Codec.Connectivity (Codec.Psph { n = 4; values = 2 });
+    Codec.escape_json
+      {|{"op":"model-complex","model":"sync","n":3,"r":1,"solver":"check"}|};
+    Codec.escape_json
+      {|{"op":"batch","requests":[{"op":"psph","n":3,"values":3}]}|};
+    "\x02\x00\x00\x00\x07\x00\x00\x09";
+    Codec.escape_json {|{"op":|};
+  ]
+
+let binary_deferred = 5
+
+let accounting =
+  [
+    "engine.cache.hits"; "engine.cache.misses"; "engine.spec_memo.hits";
+    "engine.spec_memo.misses"; "engine.queries"; "serve.requests";
+  ]
+
+let counts names = List.map (fun n -> Obs.counter_value (Obs.counter n)) names
+
+let split_tests =
+  [
+    Alcotest.test_case "a warm hit is not queued behind a miss" `Quick
+      (fun () ->
+        with_split_server ~metrics:"t.hol" ~domains:1 slowed
+        @@ fun engine addr ->
+        ignore (Serve.handle_line engine warm_hit);
+        let a = raw_connect addr and b = raw_connect addr in
+        Fun.protect ~finally:(fun () ->
+            Unix.close (fst a);
+            Unix.close (fst b))
+        @@ fun () ->
+        let t0 = Unix.gettimeofday () in
+        raw_send a slow_miss;
+        (* the miss holds the only worker before the hit arrives *)
+        await_gauge "t.hol.inflight" 1.0 100;
+        let t1 = Unix.gettimeofday () in
+        raw_send b warm_hit;
+        let hit = raw_recv b in
+        let hit_s = Unix.gettimeofday () -. t1 in
+        check_contains "hit answered" hit {|"cached":true|};
+        if hit_s >= 0.05 then
+          fail (Printf.sprintf "warm hit took %.0f ms behind the miss" (hit_s *. 1e3));
+        check_contains "miss answered" (raw_recv a) {|"id":"slow"|};
+        if Unix.gettimeofday () -. t0 < 0.5 then
+          fail "the miss was not slow: nothing was tested";
+        await_gauge "t.hol.reactor.obuf_bytes" 0.0 100;
+        check (Alcotest.float 0.) "nothing left in flight" 0. (gauge "t.hol.inflight");
+        check (Alcotest.float 0.) "output all written" 0.
+          (gauge "t.hol.reactor.obuf_bytes"));
+    Alcotest.test_case "v1 order holds when a hit overtakes a miss" `Quick
+      (fun () ->
+        with_split_server ~metrics:"t.v1o" ~domains:1 slowed
+        @@ fun engine addr ->
+        ignore (Serve.handle_line engine warm_hit);
+        let c = raw_connect addr in
+        Fun.protect ~finally:(fun () -> Unix.close (fst c)) @@ fun () ->
+        (* no hello: v1, responses in request order *)
+        raw_send c slow_miss;
+        raw_send c warm_hit;
+        (* the hit finished on the loop and waits for the miss *)
+        await_gauge "t.v1o.held" 1.0 100;
+        check (Alcotest.float 0.) "hit held behind the miss" 1. (gauge "t.v1o.held");
+        check_contains "first: the miss" (raw_recv c) {|"id":"slow"|};
+        check_contains "second: the hit" (raw_recv c) {|"id":"hit"|};
+        check (Alcotest.float 0.) "held drained" 0. (gauge "t.v1o.held"));
+    Alcotest.test_case "a long frame is deferred whole" `Quick (fun () ->
+        with_split_server ~metrics:"t.long" ~domains:1 Serve.respond
+        @@ fun engine addr ->
+        ignore (Serve.handle_line engine warm_hit);
+        let c = raw_connect addr in
+        Fun.protect ~finally:(fun () -> Unix.close (fst c)) @@ fun () ->
+        let dispatched () = Obs.counter_value (Obs.counter "t.long.dispatched") in
+        let hit id = Printf.sprintf {|{"op":"psph","n":1,"values":2,"id":"%s"}|} id in
+        let d0 = dispatched () in
+        check_contains "short hit answered" (List.hd (raw_exchange c [ hit "h" ]))
+          {|"cached":true|};
+        check int "a short hit stays on the loop" d0 (dispatched ());
+        (* parsing grows with the frame, so past 4 KiB a worker parses it *)
+        check_contains "long hit answered"
+          (List.hd (raw_exchange c [ hit (String.make 5000 'x') ]))
+          {|"cached":true|};
+        check int "a long hit is dispatched" (d0 + 1) (dispatched ()));
+    Alcotest.test_case "the split leaves bytes and accounting unchanged" `Quick
+      (fun () ->
+        let run domains =
+          let prefix = Printf.sprintf "t.acct%d" domains in
+          with_split_server ~metrics:prefix ~domains Serve.respond
+          @@ fun _engine addr ->
+          let before = counts accounting in
+          let dispatched () =
+            Obs.counter_value (Obs.counter (prefix ^ ".dispatched"))
+          in
+          let d0 = dispatched () in
+          let json =
+            let c = raw_connect addr in
+            Fun.protect ~finally:(fun () -> Unix.close (fst c)) @@ fun () ->
+            raw_exchange c json_sequence
+          in
+          let d_json = dispatched () - d0 in
+          let binary =
+            let c = raw_connect addr in
+            Fun.protect ~finally:(fun () -> Unix.close (fst c)) @@ fun () ->
+            check_contains "binary granted"
+              (List.hd
+                 (raw_exchange c
+                    [ {|{"op":"hello","version":2,"codec":"binary"}|} ]))
+              {|"codec":"binary"|};
+            raw_exchange c binary_sequence
+          in
+          let delta = List.map2 ( - ) (counts accounting) before in
+          (json, binary, delta, d_json, dispatched () - d0 - d_json)
+        in
+        let json0, bin0, acct0, dj0, db0 = run 0 in
+        let json1, bin1, acct1, dj1, db1 = run 1 in
+        let json2, bin2, acct2, dj2, db2 = run 2 in
+        check (list string) "JSON replies byte-identical" json0 json1;
+        check (list string) "binary replies byte-identical" bin0 bin1;
+        check (list int) "counters equal at 0 and 1 domains" acct0 acct1;
+        check (list string) "JSON replies byte-identical at 2 domains" json0 json2;
+        check (list string) "binary replies byte-identical at 2 domains" bin0 bin2;
+        check (list int) "counters equal at 0 and 2 domains" acct0 acct2;
+        (* a wider pool spreads hits across its domains: nothing is
+           answered on the loop *)
+        check int "JSON: every request dispatched at 2 domains"
+          (List.length json_sequence) dj2;
+        check int "binary: every request dispatched at 2 domains"
+          (List.length binary_sequence) db2;
+        (* the counts the same sequence produced before the split, when
+           every request ran whole in one job *)
+        check (list int) "counters as before the split" [ 5; 7; 5; 7; 14; 13 ]
+          acct1;
+        check int "no dispatch at 0 domains" 0 (dj0 + db0);
+        check int "JSON: only deferred requests dispatched" json_deferred dj1;
+        check int "binary: only deferred requests dispatched" binary_deferred
+          db1);
+  ]
+
 let suites =
   [
     ("net addr", addr_tests);
@@ -1622,4 +1870,5 @@ let suites =
     ("net replica", replica_tests);
     ("net cluster", cluster_tests);
     ("net stale bound", stale_bound_tests);
+    ("net split", split_tests);
   ]
